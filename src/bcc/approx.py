@@ -11,7 +11,6 @@ it, and degree-based caps give certified upper bounds for the ratio.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +182,8 @@ def greedy_welfare(instance: WelfareInstance, item_order=None) -> Partition:
     return Partition(g.right_size, k2, tuple(assignment))
 
 
-def _sample_chunk(args):
-    g, num_parts, p2, seeds = args
+def _sample_chunk(g: BipartiteGraph, num_parts: int, p2: Partition, seeds):
+    """Score one uniform left partition per seed: (quotient edges, assignment)."""
     out = []
     for seed in seeds:
         p1 = random_left_partition(g, num_parts, np.random.default_rng(seed))
@@ -194,15 +193,16 @@ def _sample_chunk(args):
 
 def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
                     num_samples: int = DEFAULT_NUM_SAMPLES,
-                    greedy_restarts: int = DEFAULT_GREEDY_RESTARTS,
-                    workers: int = 1) -> ApproxResult:
+                    greedy_restarts: int = DEFAULT_GREEDY_RESTARTS) -> ApproxResult:
     """Approximate the densest quotient with certified bounds.
 
     The right partition is the best of several greedy welfare runs over
     shuffled item orders; the left partition is the best of the
-    conditional-expectation rounding and num_samples uniform draws.  The
-    reported ratio certificate compares against a degree-based upper bound
-    on the true optimum, never against the heuristic value itself.
+    conditional-expectation rounding and num_samples uniform draws, each
+    from its own child of the seed's SeedSequence, so one seed always gives
+    one result.  The reported ratio certificate compares against a
+    degree-based upper bound on the true optimum, never against the
+    heuristic value itself.
     """
     if k1 < 1 or k2 < 1:
         raise BadParametersError("need k1 >= 1 and k2 >= 1")
@@ -230,17 +230,8 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     else:
         p1 = derandomize_left(g, k1, p2)
         best_val = quotient_edge_count(g, p1, p2)
-        seeds = sample_seed.spawn(num_samples)
         samples_used = num_samples
-        if workers > 1 and num_samples:
-            splits = np.array_split(np.arange(num_samples), workers)
-            chunks = [(g, k1, p2, [seeds[i] for i in part]) for part in splits if len(part)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [item for chunk in pool.map(_sample_chunk, chunks)
-                           for item in chunk]
-        else:
-            results = _sample_chunk((g, k1, p2, seeds))
-        for val, assignment in results:
+        for val, assignment in _sample_chunk(g, k1, p2, sample_seed.spawn(num_samples)):
             if val > best_val:
                 best_val = val
                 p1 = Partition(g.left_size, k1, assignment)
@@ -254,11 +245,9 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
 
 
 def approximate_detbcc(dc: DeterministicChannel, k1: int, k2: int, seed: int = 0,
-                       num_samples: int = DEFAULT_NUM_SAMPLES,
-                       workers: int = 1) -> tuple[Code, float]:
+                       num_samples: int = DEFAULT_NUM_SAMPLES) -> tuple[Code, float]:
     """Approximation for deterministic channels via their output-pair graph."""
     g = channel_graph(dc)
-    res = approximate_dqg(g, k1, k2, seed=seed, num_samples=num_samples,
-                          workers=workers)
+    res = approximate_dqg(g, k1, k2, seed=seed, num_samples=num_samples)
     code = code_from_partitions(dc, res.p1, res.p2)
     return code, res.value / (k1 * k2)

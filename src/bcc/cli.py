@@ -7,8 +7,9 @@ emits one canonical JSON report; with --verify a failed inequality check
 turns into exit code 4.
 
 Exit codes: 0 success, 2 bad input, 3 size or enumeration cap exceeded,
-4 failed checks under --verify.  Relative --out and --log paths land in
-$BCC_WORKDIR when it is set.
+4 failed checks under --verify, 5 internal error (a solver broke one of its
+own invariants; one "internal error:" line goes to stderr).  Relative --out
+and --log paths land in $BCC_WORKDIR when it is set.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .nsprograms import build_ns_joint, build_ns_sum, solve_ns
 from .reporting import DEFAULT_CHECK_TOL, Report
 from .simplex import lp_write_text
 
-EXIT_OK, EXIT_INVALID, EXIT_CAP, EXIT_CHECK_FAILED = 0, 2, 3, 4
+EXIT_OK, EXIT_INVALID, EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INTERNAL = 0, 2, 3, 4, 5
 WORKDIR_ENV = "BCC_WORKDIR"
 ALL_QUANTITIES = ("joint", "sum", "ns", "ns-sum", "ns-dec")
 
@@ -233,7 +234,7 @@ def cmd_approx(args) -> Report:
         raise ValidationError("approximation requires a deterministic channel")
     graph = channel_graph(det)
     res = approximate_dqg(graph, args.k1, args.k2, seed=args.seed,
-                          num_samples=args.samples, workers=args.workers)
+                          num_samples=args.samples)
     code = code_from_partitions(det, res.p1, res.p2)
     success = joint_success(table, code)
     report = Report(
@@ -245,8 +246,7 @@ def cmd_approx(args) -> Report:
                     "S_approx": success},
         witnesses={"p1": res.p1.assignment, "p2": res.p2.assignment,
                    "code": _code_witness(code)},
-        provenance=_provenance(args, seed=args.seed, samples=res.samples_used,
-                               workers=args.workers))
+        provenance=_provenance(args, seed=args.seed, samples=res.samples_used))
     report.add_check("value_within_bound",
                      "approximate value stays within its certified upper bound",
                      "approx_value", res.value, "<=",
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("hardness", parents=[common],
@@ -384,8 +383,9 @@ def main(argv=None) -> int:
     except (SizeCapExceededError, EnumerationCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InvariantViolationError:
-        raise
+    except InvariantViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

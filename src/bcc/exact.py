@@ -1,15 +1,20 @@
 """Exact small-instance solvers by explicit enumeration.
 
-Joint and sum success are maximized by enumerating deterministic decoder
-pairs (k1^|Y1| * k2^|Y2| candidates) and optimizing the encoder cell by cell;
-per-cell optima come from precomputed subset-sum tables, so each candidate
-costs k1*k2 lookups.  The densest-quotient solver shares the machinery with
-an adjacency indicator table.  The decoder-box solver enumerates
-deterministic encoders and solves one linear program per encoder.
+Joint success, sum success and the densest quotient all run through one
+kernel, _enumerate_decoders.  It is fed a cell table per input: entry
+[s1, s2] is what that input earns in a message cell whose decoders map
+exactly the output subsets s1 and s2 to it.  Joint success passes subset-pair
+sums of each W(., .|x), sum success the average of the two marginal subset
+sums, and the densest quotient a single 0/1 table saying whether any edge
+joins s1 to s2.  A running maximum over inputs gives the best input per
+subset pair; the kernel then enumerates all deterministic decoder pairs
+(k1^|Y1| * k2^|Y2| candidates), each scored with k1*k2 lookups.  The
+decoder-box solver enumerates deterministic encoders instead and solves one
+linear program per encoder.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
-the outer position.
+the outer position; ties between inputs resolve to the smallest input.
 """
 
 from __future__ import annotations
@@ -21,11 +26,10 @@ import numpy as np
 
 from .channels import ChannelTable, DeterministicChannel, marginals
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
-from .graphs import BipartiteGraph, Partition
+from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
 from .nsprograms import build_decoder_box_lp
 from .simplex import lp_solve
 
-DEFAULT_ENUM_CAP = 10**7
 TABLE_ENTRY_CAP = 10**8
 
 
@@ -124,8 +128,8 @@ def _part_masks(rows: np.ndarray, num_parts: int) -> np.ndarray:
     return masks
 
 
-def _best_pair(table: np.ndarray, masks1: np.ndarray, masks2: np.ndarray,
-               progress=None) -> tuple[float, int, int]:
+def _best_pair(table: np.ndarray, masks1: np.ndarray,
+               masks2: np.ndarray) -> tuple[float, int, int]:
     """Maximize sum of table[masks1[a, i1], masks2[b, i2]] over pairs (a, b).
 
     Scans a-major so the first maximum is the lexicographically smallest
@@ -148,103 +152,83 @@ def _best_pair(table: np.ndarray, masks1: np.ndarray, masks2: np.ndarray,
             best_val = val
             best_a = a0 + flat // n2c
             best_b = flat % n2c
-        if progress is not None:
-            progress(min(a0 + chunk, n1c) * n2c, n1c * n2c)
     return best_val, best_a, best_b
 
 
-def _guard_enumeration(candidates: int, cap: int, table_bits: int):
+def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_tables):
+    """Best decoder pair given one cell table per input, as the module docstring defines.
+
+    cell_tables is consumed only after both caps pass, so it should be a
+    generator.  Returns the best total over all decoder pairs, the two
+    decoder assignments, the encoder (best input per message cell) and the
+    number of candidates.
+    """
+    candidates = k1**n1 * k2**n2
     if candidates > cap:
         raise EnumerationCapExceededError(candidates, cap)
-    if 1 << table_bits > TABLE_ENTRY_CAP:
-        raise SizeCapExceededError(1 << table_bits, TABLE_ENTRY_CAP)
-
-
-def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP,
-                progress=None) -> SolveReport:
-    """Best deterministic code for joint success, by decoder enumeration."""
-    n1, n2 = w.out1_size, w.out2_size
-    candidates = k1**n1 * k2**n2
-    _guard_enumeration(candidates, cap, n1 + n2)
+    if 1 << (n1 + n2) > TABLE_ENTRY_CAP:
+        raise SizeCapExceededError(1 << (n1 + n2), TABLE_ENTRY_CAP)
 
     table = np.full((1 << n1, 1 << n2), -np.inf)
     argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
-    for x in range(w.input_size):
-        gx = _pair_subset_table(w.probs[x])
+    for x, gx in enumerate(cell_tables):
         better = gx > table
         table[better] = gx[better]
         argmax_x[better] = x
 
-    rows1 = _assignment_rows(n1, k1)
-    rows2 = _assignment_rows(n2, k2)
-    masks1 = _part_masks(rows1, k1)
-    masks2 = _part_masks(rows2, k2)
-    best_val, a, b = _best_pair(table, masks1, masks2, progress)
+    rows, masks = [], []
+    for n, k in ((n1, k1), (n2, k2)):
+        rows.append(_assignment_rows(n, k))
+        masks.append(_part_masks(rows[-1], k))
+    best_val, a, b = _best_pair(table, *masks)
 
-    enc = tuple(tuple(int(argmax_x[masks1[a, i1], masks2[b, i2]]) for i2 in range(k2))
-                for i1 in range(k1))
-    code = Code(k1, k2, enc, tuple(int(v) for v in rows1[a]),
-                tuple(int(v) for v in rows2[b]))
-    return SolveReport(best_val / (k1 * k2), code, candidates)
+    encoder = tuple(tuple(int(argmax_x[s1, s2]) for s2 in masks[1][b])
+                    for s1 in masks[0][a])
+    return (best_val, tuple(int(v) for v in rows[0][a]),
+            tuple(int(v) for v in rows[1][b]), encoder, candidates)
 
 
-def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP,
-              progress=None) -> SolveReport:
-    """Best deterministic code for sum success, by decoder enumeration."""
-    n1, n2 = w.out1_size, w.out2_size
-    candidates = k1**n1 * k2**n2
-    _guard_enumeration(candidates, cap, n1 + n2)
+def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_tables) -> SolveReport:
+    best_val, dec1, dec2, encoder, candidates = _enumerate_decoders(
+        w.out1_size, w.out2_size, k1, k2, cap, cell_tables)
+    return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), candidates)
 
+
+def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
+    """Best deterministic code for joint success, by decoder enumeration."""
+    return _solve_code(w, k1, k2, cap, (_pair_subset_table(px) for px in w.probs))
+
+
+def _sum_cell_tables(w: ChannelTable):
     w1, w2 = marginals(w)
     g1 = _subset_sums(w1.probs)  # (|X|, 2^|Y1|)
     g2 = _subset_sums(w2.probs)
-    table = np.full((1 << n1, 1 << n2), -np.inf)
-    argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
     for x in range(w.input_size):
-        gx = 0.5 * (g1[x][:, None] + g2[x][None, :])
-        better = gx > table
-        table[better] = gx[better]
-        argmax_x[better] = x
-
-    rows1 = _assignment_rows(n1, k1)
-    rows2 = _assignment_rows(n2, k2)
-    masks1 = _part_masks(rows1, k1)
-    masks2 = _part_masks(rows2, k2)
-    best_val, a, b = _best_pair(table, masks1, masks2, progress)
-
-    enc = tuple(tuple(int(argmax_x[masks1[a, i1], masks2[b, i2]]) for i2 in range(k2))
-                for i1 in range(k1))
-    code = Code(k1, k2, enc, tuple(int(v) for v in rows1[a]),
-                tuple(int(v) for v in rows2[b]))
-    return SolveReport(best_val / (k1 * k2), code, candidates)
+        yield 0.5 * (g1[x][:, None] + g2[x][None, :])
 
 
-def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP,
-              progress=None) -> SolveReport:
-    """Densest quotient: maximize quotient edges over all partition pairs."""
-    v1, v2 = g.left_size, g.right_size
-    candidates = k1**v1 * k2**v2
-    _guard_enumeration(candidates, cap, v1 + v2)
+def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
+    """Best deterministic code for sum success, by decoder enumeration."""
+    return _solve_code(w, k1, k2, cap, _sum_cell_tables(w))
 
-    adj = np.zeros((v1, v2))
+
+def _quotient_cell_table(g: BipartiteGraph):
+    adj = np.zeros((g.left_size, g.right_size))
     for u, v in g.edges():
         adj[u, v] = 1.0
-    table = (_pair_subset_table(adj) > 0).astype(float)
+    yield (_pair_subset_table(adj) > 0).astype(float)
 
-    rows1 = _assignment_rows(v1, k1)
-    rows2 = _assignment_rows(v2, k2)
-    masks1 = _part_masks(rows1, k1)
-    masks2 = _part_masks(rows2, k2)
-    best_val, a, b = _best_pair(table, masks1, masks2, progress)
 
-    witness = (Partition(v1, k1, tuple(int(v) for v in rows1[a])),
-               Partition(v2, k2, tuple(int(v) for v in rows2[b])))
+def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
+    """Densest quotient: maximize quotient edges over all partition pairs."""
+    best_val, a1, a2, _, candidates = _enumerate_decoders(
+        g.left_size, g.right_size, k1, k2, cap, _quotient_cell_table(g))
+    witness = (Partition(g.left_size, k1, a1), Partition(g.right_size, k2, a2))
     return SolveReport(int(round(best_val)), witness, candidates)
 
 
 def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
-                 cap: int = DEFAULT_ENUM_CAP, exact: bool = False,
-                 progress=None) -> SolveReport:
+                 cap: int = DEFAULT_ENUM_CAP, exact: bool = False) -> SolveReport:
     """Best deterministic encoder with an optimal shared decoder box.
 
     For each encoder the box optimum is a linear program; the overall optimum
@@ -257,16 +241,12 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
         raise EnumerationCapExceededError(candidates, cap)
 
     best_val, best_enc = None, None
-    done = 0
     for flat in product(range(nx), repeat=k1 * k2):
         enc = np.asarray(flat, dtype=int).reshape(k1, k2)
         sol = lp_solve(build_decoder_box_lp(w, enc, k1, k2, objective), exact=exact)
         if best_val is None or sol.value > best_val:
             best_val = sol.value
             best_enc = tuple(tuple(int(v) for v in row) for row in enc)
-        done += 1
-        if progress is not None:
-            progress(done, candidates)
     return SolveReport(best_val, best_enc, candidates)
 
 

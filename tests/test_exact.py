@@ -131,10 +131,13 @@ def test_dqg_matches_bruteforce():
         g = random_bipartite(v1, v2, rng)
         for k1, k2 in ((2, 2), (2, 3)):
             report = solve_dqg(g, k1, k2)
-            best, _ = dqg_bruteforce(g, k1, k2)
+            best, first = dqg_bruteforce(g, k1, k2)
             assert report.value == best
             p1, p2 = report.witness
             assert quotient_edge_count(g, p1, p2) == report.value
+            # Ties go to the lexicographically first optimal assignment pair.
+            assert (p1.assignment, p2.assignment) == (first[0].assignment,
+                                                      first[1].assignment)
 
 
 def random_bipartite(v1, v2, rng):

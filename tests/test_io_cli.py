@@ -1,14 +1,18 @@
 """Channel file format and command-line interface tests."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcc.cli
 from bcc import (
     DeterministicChannel,
+    InvariantViolationError,
     ParseError,
     ValidationError,
     channel_from_dict,
@@ -244,6 +248,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not all(c["passed"] for c in report_from(out)["checks"])
 
 
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("optimal point violates a constraint")
+
+    monkeypatch.setattr(bcc.cli, "solve_joint", broken)
+    path = perfect_file(tmp_path)
+    code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                             "--which", "joint")
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: optimal point violates a constraint\n"
+
+
 def test_cli_out_and_workdir(tmp_path, capsys, monkeypatch):
     path = one_input_file(tmp_path)
     out_path = tmp_path / "report.json"
@@ -349,8 +366,12 @@ def test_cli_hardness_strategies(capsys):
 
 
 def test_cli_help_via_subprocess():
+    # Run the package this suite imported, whether or not it is installed.
+    src = str(Path(bcc.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "bcc", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
     assert "hardness" in proc.stdout
