@@ -206,6 +206,8 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     """
     if k1 < 1 or k2 < 1:
         raise BadParametersError("need k1 >= 1 and k2 >= 1")
+    if num_samples < 0:
+        raise BadParametersError("num_samples must be >= 0")
     root = np.random.SeedSequence(seed)
     order_seed, sample_seed = root.spawn(2)
 

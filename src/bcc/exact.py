@@ -27,7 +27,7 @@ import numpy as np
 from .channels import ChannelTable, DeterministicChannel, marginals
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
 from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
-from .nsprograms import build_decoder_box_lp
+from .nsprograms import _check_k, build_decoder_box_lp
 from .simplex import lp_solve
 
 TABLE_ENTRY_CAP = 10**8
@@ -163,6 +163,7 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
     decoder assignments, the encoder (best input per message cell) and the
     number of candidates.
     """
+    _check_k(k1, k2)
     candidates = k1**n1 * k2**n2
     if candidates > cap:
         raise EnumerationCapExceededError(candidates, cap)
@@ -235,6 +236,7 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     over stochastic encoders is attained at a deterministic one because the
     objective is bilinear, so enumerating |X|^(k1 k2) encoders is exhaustive.
     """
+    _check_k(k1, k2)
     nx = w.input_size
     candidates = nx ** (k1 * k2)
     if candidates > cap:

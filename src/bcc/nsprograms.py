@@ -13,6 +13,7 @@ then r1, then r2) so exported files and extracted solutions line up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -353,13 +354,17 @@ class NsSolution:
     r: np.ndarray    # (|X|, |Y1|, |Y2|)
     r1: np.ndarray   # (|X|, |Y1|)
     r2: np.ndarray   # (|X|, |Y2|)
-    value: float
+    value: float | Fraction  # the LP's value type: a Fraction from exact mode
 
 
 def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
                         solution: LpSolution | np.ndarray,
                         tol: float = EXTRACT_TOL) -> NsSolution:
-    """Split a compact assignment into blocks and verify its feasibility."""
+    """Split a compact assignment into float blocks and verify its feasibility.
+
+    The value is the solution's own, so an exact solve keeps its Fraction;
+    a bare assignment vector gets its float value recomputed.
+    """
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     lay = _CompactLayout(nx, n1, n2)
@@ -392,7 +397,7 @@ def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
     value = getattr(solution, "value", None)
     if value is None:
         value = float((w.probs * r).sum() / (k1 * k2))
-    return NsSolution(p, r, r1, r2, float(value))
+    return NsSolution(p, r, r1, r2, value)
 
 
 def reconstruct_full_box(ns: NsSolution, k1: int, k2: int) -> np.ndarray:
@@ -433,10 +438,4 @@ def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     build = build_ns_joint if objective == "joint" else build_ns_sum
     if objective not in ("joint", "sum"):
         raise ValidationError(f"unknown objective {objective!r}")
-    sol = lp_solve(build(w, k1, k2), exact=exact)
-    if exact:
-        vec = np.array([float(v) for v in sol.assignment])
-        out = extract_ns_solution(w, k1, k2, vec)
-        out.value = sol.value  # keep the exact Fraction
-        return out
-    return extract_ns_solution(w, k1, k2, sol)
+    return extract_ns_solution(w, k1, k2, lp_solve(build(w, k1, k2), exact=exact))

@@ -1,23 +1,28 @@
 """Dense linear programming: two-phase primal simplex with Bland's rule.
 
 Models are maximization problems over variables with lower bounds (zero by
-default), dense constraint rows, and relations <=, =, >=.  The solver runs on
-a single tableau code path in one of two numeric modes:
+default), dense constraint rows, and relations <=, =, >=.  Both numeric modes
+run the same tableau code; the mode decides only three things:
 
-* float mode: float64 tableau, pivot and feasibility tolerances 1e-9;
-* exact mode: Fraction tableau (inputs converted exactly from their binary
-  float representation), zero tolerances, intended for small certificates.
+* the scalar type: float64 arrays, or object arrays of Fractions (inputs
+  converted exactly from their binary float representation);
+* the pivot, feasibility and final-check tolerances: 1e-9, 1e-9 and 1e-7,
+  or all zero;
+* whether the reduced costs are recomputed from scratch once at an apparent
+  optimum before the solver commits (float only, so that incremental drift
+  cannot stop a run early).
 
 Bland's rule (lowest eligible index enters, ratio ties resolved by lowest
-basis index) guarantees termination without cycling.  At an apparent optimum
-in float mode the reduced costs are recomputed from scratch once before the
-solver commits, which keeps incremental drift from stopping a run early.
+basis index) guarantees termination without cycling.  Exact mode is meant for
+small certificates and is capped at EXACT_VAR_CAP variables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +43,24 @@ FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 DEFAULT_PIVOT_LIMIT = 10**6
 EXACT_VAR_CAP = 200
+
+
+@dataclass(frozen=True)
+class _NumericMode:
+    """All that differs between float and exact solves; the tableau code is shared."""
+
+    scalar: type
+    dtype: type
+    to_array: Callable  # float array -> array of scalars, exact for Fractions
+    pivot_tol: float
+    feas_tol: float
+    check_tol: float
+    refresh_at_optimum: bool
+
+
+_FLOAT = _NumericMode(float, float, partial(np.array, dtype=float),
+                      PIVOT_TOL, FEAS_TOL, CHECK_TOL, True)
+_EXACT = _NumericMode(Fraction, object, np.frompyfunc(Fraction, 1, 1), 0, 0, 0, False)
 
 
 @dataclass
@@ -83,57 +106,39 @@ class LpSolution:
     pivots: int
 
 
-def constraint_violation(model: LpModel, x) -> float:
-    """Largest violation of any row or lower bound at the point x."""
+def constraint_violation(model: LpModel, x) -> float | Fraction:
+    """Largest violation of any row or lower bound at the point x, or zero.
+
+    An object array x (of Fractions) is checked in exact arithmetic.
+    """
     x = np.asarray(x)
-    worst = 0
-    for i in range(model.num_rows):
-        ax = model.rows[i] @ x if x.dtype != object else sum(
-            Fraction(a) * v for a, v in zip(model.rows[i], x))
-        gap = ax - (Fraction(model.rhs[i]) if x.dtype == object else model.rhs[i])
-        rel = model.relations[i]
-        if rel == LE:
-            worst = max(worst, gap)
-        elif rel == GE:
-            worst = max(worst, -gap)
-        else:
-            worst = max(worst, abs(gap))
-    lb = model.lower_bounds
-    for j in range(model.num_vars):
-        low = 0 if lb is None else (Fraction(lb[j]) if x.dtype == object else lb[j])
-        worst = max(worst, low - x[j])
-    return worst
+    rows, rhs, worst = model.rows, model.rhs, 0.0
+    lb = np.zeros(model.num_vars) if model.lower_bounds is None else model.lower_bounds
+    if x.dtype == object:
+        rows, rhs, lb = _EXACT.to_array(rows), _EXACT.to_array(rhs), _EXACT.to_array(lb)
+        worst = Fraction(0)
+    gap = rows @ x - rhs
+    rel = np.asarray(model.relations)
+    gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), lb - x])
+    return gaps.max(initial=worst)
 
 
 def lp_solve(model: LpModel, exact: bool = False,
-             max_pivots: int = DEFAULT_PIVOT_LIMIT,
-             tol: float = PIVOT_TOL) -> LpSolution:
+             max_pivots: int = DEFAULT_PIVOT_LIMIT) -> LpSolution:
     """Solve to optimality or raise Infeasible / Unbounded / IterationLimit."""
     if exact and model.num_vars > EXACT_VAR_CAP:
         raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
+    mode = _EXACT if exact else _FLOAT
+    dtype, tol = mode.dtype, mode.pivot_tol
+    zero, one = mode.scalar(0), mode.scalar(1)
 
     n = model.num_vars
-    if exact:
-        conv = Fraction
-        A = np.array([[Fraction(v) for v in row] for row in model.rows], dtype=object)
-        b = np.array([Fraction(v) for v in model.rhs], dtype=object)
-        c = np.array([Fraction(v) for v in model.objective], dtype=object)
-        zero, one = Fraction(0), Fraction(1)
-        tol = zero
-    else:
-        conv = float
-        A = np.array(model.rows, dtype=float)
-        b = np.array(model.rhs, dtype=float)
-        c = np.array(model.objective, dtype=float)
-        zero, one = 0.0, 1.0
+    A, b, c = (mode.to_array(a) for a in (model.rows, model.rhs, model.objective))
 
     # Shift out nonzero lower bounds: x = lb + x', x' >= 0.
-    if model.lower_bounds is not None:
-        lb = np.array([conv(v) for v in model.lower_bounds],
-                      dtype=object if exact else float)
+    lb = None if model.lower_bounds is None else mode.to_array(model.lower_bounds)
+    if lb is not None:
         b = b - A @ lb
-    else:
-        lb = None
 
     relations = list(model.relations)
     for i in range(len(b)):
@@ -146,10 +151,7 @@ def lp_solve(model: LpModel, exact: bool = False,
     n_slack = sum(1 for r in relations if r != EQ)
     n_art = sum(1 for r in relations if r != LE)
     ncols = n + n_slack + n_art
-    dtype = object if exact else float
-    T = np.zeros((m, ncols + 1), dtype=dtype)
-    if exact:
-        T[:, :] = zero
+    T = np.full((m, ncols + 1), zero, dtype=dtype)
     T[:, :n] = A
     T[:, -1] = b
 
@@ -184,8 +186,7 @@ def lp_solve(model: LpModel, exact: bool = False,
         T[:, q] = zero
         T[p, q] = one
         basis[p] = q
-        if not exact:
-            np.maximum(T[:, -1], 0.0, out=T[:, -1])
+        T[:, -1] = np.maximum(T[:, -1], zero)
 
     def reduced_costs(cost):
         r = cost.copy()
@@ -196,31 +197,16 @@ def lp_solve(model: LpModel, exact: bool = False,
 
     def entering(r) -> int:
         """Lowest index with positive reduced cost, or -1 at an optimum."""
-        if exact:
-            for j in range(ncols):
-                if r[j] > tol:
-                    return j
-            return -1
         above = np.flatnonzero(r > tol)
         return int(above[0]) if above.size else -1
 
     def leaving(q: int) -> int:
         """Minimum-ratio row; ratio ties go to the lowest basis index."""
-        if exact:
-            p, best_ratio = -1, None
-            for i in range(m):
-                a = T[i, q]
-                if a > tol:
-                    ratio = T[i, -1] / a
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and basis[i] < basis[p])):
-                        p, best_ratio = i, ratio
-            return p
         col = T[:m, q]
         rows = np.flatnonzero(col > tol)
         if not rows.size:
             return -1
-        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        ratios = T[rows, -1] / col[rows]
         ties = rows[ratios == ratios.min()]
         return int(ties[np.argmin(np.asarray(basis)[ties])])
 
@@ -231,7 +217,7 @@ def lp_solve(model: LpModel, exact: bool = False,
         while True:
             q = entering(r)
             if q < 0:
-                if exact or refreshed:
+                if refreshed or not mode.refresh_at_optimum:
                     return
                 r = reduced_costs(cost)  # guard against incremental drift
                 refreshed = True
@@ -250,13 +236,11 @@ def lp_solve(model: LpModel, exact: bool = False,
             r[q] = zero
 
     if n_art:
-        cost1 = np.zeros(ncols, dtype=dtype)
-        if exact:
-            cost1[:] = zero
+        cost1 = np.full(ncols, zero, dtype=dtype)
         cost1[art_start:] = -one
         run_phase(cost1, phase=1)
         infeas = sum(T[i, -1] for i in range(m) if basis[i] >= art_start)
-        if infeas > (zero if exact else FEAS_TOL):
+        if infeas > mode.feas_tol:
             raise InfeasibleError(f"phase-1 residual {infeas}")
         # Pivot surviving artificials out, dropping redundant rows.
         keep = []
@@ -275,28 +259,21 @@ def lp_solve(model: LpModel, exact: bool = False,
     T = np.concatenate([T[:, :art_start], T[:, -1:]], axis=1)
     ncols = art_start
 
-    cost2 = np.zeros(ncols, dtype=dtype)
-    if exact:
-        cost2[:] = zero
+    cost2 = np.full(ncols, zero, dtype=dtype)
     cost2[:n] = c
     run_phase(cost2, phase=2)
 
-    x = np.zeros(n, dtype=dtype)
-    if exact:
-        x[:] = zero
+    x = np.full(n, zero, dtype=dtype)
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i, -1]
     if lb is not None:
         x = x + lb
-    value = sum(ci * xi for ci, xi in zip(c, x))
+    value = mode.scalar(sum(ci * xi for ci, xi in zip(c, x)))
 
-    check = zero if exact else CHECK_TOL
     violation = constraint_violation(model, x)
-    if violation > check:
+    if violation > mode.check_tol:
         raise InvariantViolationError(f"optimal point violates a constraint by {violation}")
-    if not exact:
-        value = float(value)
     return LpSolution("optimal", value, x, pivots)
 
 

@@ -168,6 +168,16 @@ def test_singleton_fast_paths():
     assert res.value == len(list(g.edges()))
 
 
+def test_negative_num_samples_rejected():
+    g = random_bipartite_graph(8, 8, 0.5, seed=2)
+    with pytest.raises(BadParametersError):
+        approximate_dqg(g, 3, 3, num_samples=-5)
+    # Rejected up front, also where no sampling would run (k1 >= |left|).
+    with pytest.raises(BadParametersError):
+        approximate_dqg(g, 8, 3, num_samples=-1)
+    assert approximate_dqg(g, 3, 3, num_samples=0).samples_used == 0
+
+
 def test_approximate_detbcc_consistency():
     dc = random_deterministic_channel(6, 4, 4, seed=71)
     code, value = approximate_detbcc(dc, 2, 2, seed=5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcc import (
+    BadParametersError,
     Code,
     DimensionMismatchError,
     EnumerationCapExceededError,
@@ -122,6 +123,17 @@ def test_enumeration_caps():
         solve_joint(random_channel(1, 14, 14, seed=0), 1, 1)
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(w, 2, 2, cap=3)
+
+
+def test_message_counts_below_one_rejected():
+    w = random_channel(2, 2, 2, seed=3)
+    g = channel_graph(random_deterministic_channel(4, 2, 2, seed=3))
+    for k1, k2 in ((0, 2), (2, 0), (-1, 2)):
+        for solve in (solve_joint, solve_sum, solve_ns_dec):
+            with pytest.raises(BadParametersError):
+                solve(w, k1, k2)
+        with pytest.raises(BadParametersError):
+            solve_dqg(g, k1, k2)
 
 
 def test_dqg_matches_bruteforce():

@@ -20,6 +20,7 @@ from bcc import (
     dumps_canonical,
     load_channel,
     random_channel,
+    random_deterministic_channel,
     save_channel,
     validate_channel,
 )
@@ -246,6 +247,26 @@ def test_cli_exit_codes(tmp_path, capsys):
                            "--which", "joint", "sum", "--check-tol=-1")
     assert code == 0
     assert not all(c["passed"] for c in report_from(out)["checks"])
+
+
+def test_cli_rejects_message_counts_below_one(tmp_path, capsys):
+    path = perfect_file(tmp_path)
+    for k1, k2, which in (("0", "2", "joint"), ("0", "2", "sum"), ("-1", "2", "ns-dec")):
+        code, out, err = run_cli(capsys, "solve", str(path), "--k1", k1, "--k2", k2,
+                                 "--which", which)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_approx_rejects_negative_samples(tmp_path, capsys):
+    dc = random_deterministic_channel(30, 8, 8, seed=0)
+    path = write_channel(tmp_path, dc, "det.json")
+    code, out, err = run_cli(capsys, "approx", str(path), "--k1", "3", "--k2", "3",
+                             "--samples", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -150,6 +150,19 @@ def test_constraint_violation_reports_worst():
     assert constraint_violation(model, np.array([-0.25, 0.0])) == pytest.approx(0.75)
 
 
+def test_constraint_violation_is_exact_on_fractions():
+    model = LpModel(2, [0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], (LE, GE), [1.0, 0.5])
+    feasible = np.array([Fraction(1, 2), Fraction(1, 2)], dtype=object)
+    zero = constraint_violation(model, feasible)
+    assert isinstance(zero, Fraction) and zero == 0
+    # 3/5 + 7/15 overshoots the first row by 1/15, which no float states exactly.
+    over = np.array([Fraction(3, 5), Fraction(7, 15)], dtype=object)
+    assert constraint_violation(model, over) == Fraction(1, 15)
+    worst = constraint_violation(model, np.array([Fraction(1, 2), Fraction(-1, 3)],
+                                                 dtype=object))
+    assert isinstance(worst, Fraction) and worst == Fraction(1, 3)
+
+
 def test_vertex_oracle_agreement_random_corpus():
     rng = np.random.default_rng(2024)
     solved = 0

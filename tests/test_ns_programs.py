@@ -221,3 +221,13 @@ def test_exact_mode_returns_fraction_and_matches_float():
     assert isinstance(exact.value, Fraction)
     approx = solve_ns(w, 2, 2, "joint")
     assert approx.value == pytest.approx(float(exact.value), abs=1e-9)
+
+    # Both modes run one tableau path, so on dyadic data they pivot alike.
+    for seed in range(5):
+        w = random_dyadic_channel(2, 2, 2, denominator=16, seed=seed)
+        for build in (build_ns_joint, build_ns_sum):
+            model = build(w, 2, 2)
+            exact, approx = lp_solve(model, exact=True), lp_solve(model)
+            assert exact.pivots == approx.pivots
+            assert approx.assignment == pytest.approx(
+                exact.assignment.astype(float), abs=1e-9)
