@@ -77,7 +77,7 @@ class DeterministicChannel:
 
 def validate_channel(table, input_size=None, out1_size=None, out2_size=None,
                      tol: float = NORMALIZATION_TOL) -> ChannelTable:
-    """Check shape, nonnegativity, and row normalization; freeze the array."""
+    """Check shape, finiteness, nonnegativity, and row normalization; freeze the array."""
     probs = np.asarray(table, dtype=float)
     if probs.ndim != 3:
         raise DimensionMismatchError(f"expected a 3d table, got ndim={probs.ndim}")
@@ -89,6 +89,11 @@ def validate_channel(table, input_size=None, out1_size=None, out2_size=None,
             raise DimensionMismatchError(f"{name} size {declared} != table axis {actual}")
     if min(nx, n1, n2) < 1:
         raise DimensionMismatchError("alphabets must be nonempty")
+    bad = np.argwhere(~np.isfinite(probs))
+    if len(bad):
+        x, y1, y2 = bad[0]
+        raise ValidationError(
+            f"entry {float(probs[x, y1, y2])!r} at (x={x}, y1={y1}, y2={y2}) is not finite")
     neg = np.argwhere(probs < -tol)
     if len(neg):
         x, y1, y2 = neg[0]

@@ -20,8 +20,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .channels import ChannelTable, DeterministicChannel, validate_channel
 from .errors import ParseError, ToolkitError, ValidationError
 
@@ -93,7 +91,8 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
     rows = _require(doc, "rows", list)
     if len(rows) != nx:
         raise ValidationError(f"expected {nx} rows, found {len(rows)}")
-    table = np.zeros((nx, n1, n2))
+    # Check the nesting before any allocation: the declared sizes alone may
+    # be far larger than the rows that are actually there.
     for x, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == n1):
             raise ParseError(f"row at x={x} must list {n1} output-1 slices")
@@ -103,9 +102,10 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
             for y2, value in enumerate(slice_):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParseError(f"value at x={x}, y1={y1}, y2={y2} is not a number")
-                table[x, y1, y2] = value
     try:
-        return validate_channel(table)
+        return validate_channel(rows)
+    except OverflowError as exc:   # an integer literal beyond the float range
+        raise ValidationError(f"an entry is not finite: {exc}") from exc
     except ToolkitError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -71,8 +71,8 @@ def random_equipartition(m: int, k1: int, rng) -> tuple[tuple[int, ...], ...]:
 def build_instance(k1: int, delta: float = DEFAULT_DELTA, seed: int = 0) -> HardnessInstance:
     if not isinstance(k1, int) or k1 < 2:
         raise BadParametersError("k1 must be an integer >= 2")
-    if delta <= 0:
-        raise BadParametersError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise BadParametersError("delta must be positive and finite")
     m = k1 * k1
     blocks = random_equipartition(m, k1, seed)
     return HardnessInstance(k1, float(delta), m, blocks, seed)

@@ -8,6 +8,11 @@ k1, k2 >= 2 a compact point lifts back to a full box in closed form.
 
 Variable order of the compact model is fixed (p block, then r row-major,
 then r1, then r2) so exported files and extracted solutions line up.
+
+Each program numbers its variables with index arrays (np.arange reshaped
+into the p/r/r1/r2 blocks, or into the box axes) and builds every
+constraint family with one `_rows` call on those arrays, so a family's rows
+come out in the C order of its index array.
 """
 
 from __future__ import annotations
@@ -35,126 +40,83 @@ def _check_k(k1: int, k2: int):
         raise BadParametersError("message counts must be >= 1")
 
 
-class _CompactLayout:
-    """Index bookkeeping for the compact variable vector."""
+def _rows(n: int, *terms) -> np.ndarray:
+    """One dense row of length n per cell of the terms' broadcast shape, C order.
 
-    def __init__(self, nx: int, n1: int, n2: int):
-        self.nx, self.n1, self.n2 = nx, n1, n2
-        self.p0 = 0
-        self.r0 = nx
-        self.r10 = self.r0 + nx * n1 * n2
-        self.r20 = self.r10 + nx * n1
-        self.total = self.r20 + nx * n2
+    Each term is (index array, coefficient): the cell's row gets the
+    coefficient at the cell's index, and terms that meet in one entry add up
+    in term order.  A sum over an axis is one term per slice.
+    """
+    cols = np.stack(np.broadcast_arrays(*(idx for idx, _ in terms)), axis=-1)
+    cols = cols.reshape(-1, len(terms))
+    out = np.zeros((len(cols), n))
+    np.add.at(out, (np.arange(len(cols))[:, None], cols), [coef for _, coef in terms])
+    return out
 
-    def p(self, x):
-        return self.p0 + x
 
-    def r(self, x, y1, y2):
-        return self.r0 + (x * self.n1 + y1) * self.n2 + y2
+def _over(idx: np.ndarray, coef: float) -> list:
+    """Terms that sum coef over the first axis of idx."""
+    return [(a, coef) for a in idx]
 
-    def r1(self, x, y1):
-        return self.r10 + x * self.n1 + y1
 
-    def r2(self, x, y2):
-        return self.r20 + x * self.n2 + y2
+def _stack(families) -> tuple:
+    """Rows, relations and right-hand sides of (rows, relation, rhs) families."""
+    return (np.vstack([rows for rows, _, _ in families]),
+            tuple(rel for rows, rel, _ in families for _ in rows),
+            np.concatenate([np.full(len(rows), float(b)) for rows, _, b in families]))
 
-    def names(self):
-        out = [f"p_x{x}" for x in range(self.nx)]
-        out += [f"r_x{x}_a{y1}_b{y2}" for x in range(self.nx)
-                for y1 in range(self.n1) for y2 in range(self.n2)]
-        out += [f"r1_x{x}_a{y1}" for x in range(self.nx) for y1 in range(self.n1)]
-        out += [f"r2_x{x}_b{y2}" for x in range(self.nx) for y2 in range(self.n2)]
-        return tuple(out)
+
+def _compact_index(nx: int, n1: int, n2: int) -> tuple:
+    """Variable indices of the p, r, r1 and r2 blocks, and the variable count."""
+    ends = np.cumsum([0, nx, nx * n1 * n2, nx * n1, nx * n2])
+    p, r, r1, r2 = (np.arange(a, b) for a, b in zip(ends[:-1], ends[1:]))
+    return p, r.reshape(nx, n1, n2), r1.reshape(nx, n1), r2.reshape(nx, n2), int(ends[-1])
 
 
 def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel:
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
-    lay = _CompactLayout(nx, n1, n2)
-    n = lay.total
-
-    rows, rels, rhs, rownames = [], [], [], []
-
-    def add(row, rel, b, name):
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-        rownames.append(name)
-
-    for y1 in range(n1):
-        for y2 in range(n2):
-            row = np.zeros(n)
-            for x in range(nx):
-                row[lay.r(x, y1, y2)] = 1.0
-            add(row, EQ, 1.0, f"norm_r_a{y1}_b{y2}")
-    for y1 in range(n1):
-        row = np.zeros(n)
-        for x in range(nx):
-            row[lay.r1(x, y1)] = 1.0
-        add(row, EQ, float(k2), f"norm_r1_a{y1}")
-    for y2 in range(n2):
-        row = np.zeros(n)
-        for x in range(nx):
-            row[lay.r2(x, y2)] = 1.0
-        add(row, EQ, float(k1), f"norm_r2_b{y2}")
-    row = np.zeros(n)
-    row[lay.p0:lay.p0 + nx] = 1.0
-    add(row, EQ, float(k1 * k2), "norm_p")
-
-    for x in range(nx):
-        for y1 in range(n1):
-            for y2 in range(n2):
-                row = np.zeros(n)
-                row[lay.r(x, y1, y2)] = 1.0
-                row[lay.r1(x, y1)] = -1.0
-                add(row, LE, 0.0, f"r_le_r1_x{x}_a{y1}_b{y2}")
-    for x in range(nx):
-        for y1 in range(n1):
-            for y2 in range(n2):
-                row = np.zeros(n)
-                row[lay.r(x, y1, y2)] = 1.0
-                row[lay.r2(x, y2)] = -1.0
-                add(row, LE, 0.0, f"r_le_r2_x{x}_a{y1}_b{y2}")
-    for x in range(nx):
-        for y1 in range(n1):
-            row = np.zeros(n)
-            row[lay.r1(x, y1)] = 1.0
-            row[lay.p(x)] = -1.0
-            add(row, LE, 0.0, f"r1_le_p_x{x}_a{y1}")
-    for x in range(nx):
-        for y2 in range(n2):
-            row = np.zeros(n)
-            row[lay.r2(x, y2)] = 1.0
-            row[lay.p(x)] = -1.0
-            add(row, LE, 0.0, f"r2_le_p_x{x}_b{y2}")
-    for x in range(nx):
-        for y1 in range(n1):
-            for y2 in range(n2):
-                row = np.zeros(n)
-                row[lay.p(x)] = 1.0
-                row[lay.r1(x, y1)] = -1.0
-                row[lay.r2(x, y2)] = -1.0
-                row[lay.r(x, y1, y2)] = 1.0
-                add(row, GE, 0.0, f"slack_x{x}_a{y1}_b{y2}")
+    p, r, r1, r2, n = _compact_index(nx, n1, n2)
+    outs = [(a, b) for a in range(n1) for b in range(n2)]
+    cells = [(x, a, b) for x in range(nx) for a, b in outs]
+    pairs1 = [(x, a) for x in range(nx) for a in range(n1)]
+    pairs2 = [(x, b) for x in range(nx) for b in range(n2)]
+    p3, r13, r23 = p[:, None, None], r1[:, :, None], r2[:, None, :]
+    families = [
+        (_rows(n, *_over(r, 1.0)), EQ, 1.0,
+         [f"norm_r_a{a}_b{b}" for a, b in outs]),
+        (_rows(n, *_over(r1, 1.0)), EQ, k2, [f"norm_r1_a{a}" for a in range(n1)]),
+        (_rows(n, *_over(r2, 1.0)), EQ, k1, [f"norm_r2_b{b}" for b in range(n2)]),
+        (_rows(n, *_over(p, 1.0)), EQ, k1 * k2, ["norm_p"]),
+        (_rows(n, (r, 1.0), (r13, -1.0)), LE, 0.0,
+         [f"r_le_r1_x{x}_a{a}_b{b}" for x, a, b in cells]),
+        (_rows(n, (r, 1.0), (r23, -1.0)), LE, 0.0,
+         [f"r_le_r2_x{x}_a{a}_b{b}" for x, a, b in cells]),
+        (_rows(n, (r1, 1.0), (p[:, None], -1.0)), LE, 0.0,
+         [f"r1_le_p_x{x}_a{a}" for x, a in pairs1]),
+        (_rows(n, (r2, 1.0), (p[:, None], -1.0)), LE, 0.0,
+         [f"r2_le_p_x{x}_b{b}" for x, b in pairs2]),
+        (_rows(n, (p3, 1.0), (r13, -1.0), (r23, -1.0), (r, 1.0)), GE, 0.0,
+         [f"slack_x{x}_a{a}_b{b}" for x, a, b in cells]),
+    ]
 
     c = np.zeros(n)
     if objective == "joint":
-        for x in range(nx):
-            for y1 in range(n1):
-                for y2 in range(n2):
-                    c[lay.r(x, y1, y2)] = w.probs[x, y1, y2] / (k1 * k2)
+        c[r] = w.probs / (k1 * k2)
     elif objective == "sum":
         w1, w2 = marginals(w)
-        for x in range(nx):
-            for y1 in range(n1):
-                c[lay.r1(x, y1)] = w1.probs[x, y1] / (2 * k1 * k2)
-            for y2 in range(n2):
-                c[lay.r2(x, y2)] = w2.probs[x, y2] / (2 * k1 * k2)
+        c[r1] = w1.probs / (2 * k1 * k2)
+        c[r2] = w2.probs / (2 * k1 * k2)
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
-    return LpModel(n, c, np.array(rows), tuple(rels), np.array(rhs),
-                   var_names=lay.names(), row_names=tuple(rownames))
+    names = ([f"p_x{x}" for x in range(nx)]
+             + [f"r_x{x}_a{a}_b{b}" for x, a, b in cells]
+             + [f"r1_x{x}_a{a}" for x, a in pairs1]
+             + [f"r2_x{x}_b{b}" for x, b in pairs2])
+    rows, rels, rhs = _stack([f[:3] for f in families])
+    return LpModel(n, c, rows, rels, rhs, var_names=tuple(names),
+                   row_names=tuple(name for f in families for name in f[3]))
 
 
 def build_ns_joint(w: ChannelTable, k1: int, k2: int) -> LpModel:
@@ -181,93 +143,42 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     n = int(np.prod(shape))
     if n > cap:
         raise SizeCapExceededError(n, cap)
+    v = np.arange(n).reshape(shape)
 
-    def idx(x, j1, j2, i1, i2, y1, y2):
-        return int(np.ravel_multi_index((x, j1, j2, i1, i2, y1, y2), shape))
-
-    rows, rels, rhs = [], [], []
-
-    def add(row, b):
-        rows.append(row)
-        rels.append(EQ)
-        rhs.append(b)
-
-    # Input marginal independent of the message pair.
-    for j1 in range(k1):
-        for j2 in range(k2):
-            for y1 in range(n1):
-                for y2 in range(n2):
-                    for i1 in range(k1):
-                        for i2 in range(k2):
-                            if (i1, i2) == (0, 0):
-                                continue
-                            row = np.zeros(n)
-                            for x in range(nx):
-                                row[idx(x, j1, j2, i1, i2, y1, y2)] += 1.0
-                                row[idx(x, j1, j2, 0, 0, y1, y2)] -= 1.0
-                            add(row, 0.0)
-    # First output marginal independent of y1.
-    for x in range(nx):
-        for j2 in range(k2):
-            for i1 in range(k1):
-                for i2 in range(k2):
-                    for y2 in range(n2):
-                        for y1 in range(1, n1):
-                            row = np.zeros(n)
-                            for j1 in range(k1):
-                                row[idx(x, j1, j2, i1, i2, y1, y2)] += 1.0
-                                row[idx(x, j1, j2, i1, i2, 0, y2)] -= 1.0
-                            add(row, 0.0)
-    # Second output marginal independent of y2.
-    for x in range(nx):
-        for j1 in range(k1):
-            for i1 in range(k1):
-                for i2 in range(k2):
-                    for y1 in range(n1):
-                        for y2 in range(1, n2):
-                            row = np.zeros(n)
-                            for j2 in range(k2):
-                                row[idx(x, j1, j2, i1, i2, y1, y2)] += 1.0
-                                row[idx(x, j1, j2, i1, i2, y1, 0)] -= 1.0
-                            add(row, 0.0)
-    # Normalization per conditioning tuple.
-    for i1 in range(k1):
-        for i2 in range(k2):
-            for y1 in range(n1):
-                for y2 in range(n2):
-                    row = np.zeros(n)
-                    for x in range(nx):
-                        for j1 in range(k1):
-                            for j2 in range(k2):
-                                row[idx(x, j1, j2, i1, i2, y1, y2)] = 1.0
-                    add(row, 1.0)
+    # Each index array below puts the summed axis first and the row axes
+    # after it in loop order; the last axis is cut at 0 for the differences.
+    # Input marginal the same for every message pair (i1, i2) as for (0, 0):
+    # rows (j1, j2, y1, y2, (i1, i2) != (0, 0)), summed over x.
+    marg_x = v.transpose(0, 1, 2, 5, 6, 3, 4).reshape(nx, k1, k2, n1, n2, k1 * k2)
+    # Output-1 marginal independent of y1: rows (x, j2, i1, i2, y2, y1 >= 1), over j1.
+    marg_1 = v.transpose(1, 0, 2, 3, 4, 6, 5)
+    # Output-2 marginal independent of y2: rows (x, j1, i1, i2, y1, y2 >= 1), over j2.
+    marg_2 = v.transpose(2, 0, 1, 3, 4, 5, 6)
+    rows, rels, rhs = _stack([
+        *((_rows(n, *_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)), EQ, 0.0)
+          for m in (marg_x, marg_1, marg_2)),
+        # Normalization per conditioning tuple (i1, i2, y1, y2), over (x, j1, j2).
+        (_rows(n, *_over(v.reshape(nx * k1 * k2, k1, k2, n1, n2), 1.0)), EQ, 1.0),
+    ])
 
     c = np.zeros(n)
     if objective == "joint":
-        for i1 in range(k1):
-            for i2 in range(k2):
-                for x in range(nx):
-                    for y1 in range(n1):
-                        for y2 in range(n2):
-                            c[idx(x, i1, i2, i1, i2, y1, y2)] += (
-                                w.probs[x, y1, y2] / (k1 * k2))
+        i1, i2 = np.ogrid[:k1, :k2]   # v[x, i1, i2, i1, i2, y1, y2]
+        np.add.at(c, v[:, i1, i2, i1, i2], w.probs[:, None, None] / (k1 * k2))
     elif objective == "sum":
+        # v[x, i1, j2, i1, i2, y1, 0] and v[x, j1, i2, i1, i2, 0, y2]: a cell
+        # gets at most one term from each, in the order of the nested loops.
         w1, w2 = marginals(w)
-        for i1 in range(k1):
-            for i2 in range(k2):
-                for x in range(nx):
-                    for y1 in range(n1):
-                        for j2 in range(k2):
-                            c[idx(x, i1, j2, i1, i2, y1, 0)] += (
-                                w1.probs[x, y1] / (2 * k1 * k2))
-                    for y2 in range(n2):
-                        for j1 in range(k1):
-                            c[idx(x, j1, i2, i1, i2, 0, y2)] += (
-                                w2.probs[x, y2] / (2 * k1 * k2))
+        i1, i2, j2 = np.ogrid[:k1, :k2, :k2]
+        np.add.at(c, v[..., 0][:, i1, j2, i1, i2],
+                  w1.probs[:, None, None, None] / (2 * k1 * k2))
+        i1, i2, j1 = np.ogrid[:k1, :k2, :k1]
+        np.add.at(c, v[..., 0, :][:, j1, i2, i1, i2],
+                  w2.probs[:, None, None, None] / (2 * k1 * k2))
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
-    return LpModel(n, c, np.array(rows), tuple(rels), np.array(rhs))
+    return LpModel(n, c, rows, rels, rhs)
 
 
 def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
@@ -286,64 +197,32 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
         raise BadParametersError("encoder output out of range")
     shape = (k1, k2, n1, n2)
     n = int(np.prod(shape))
+    v = np.arange(n).reshape(shape)
 
-    def idx(j1, j2, y1, y2):
-        return int(np.ravel_multi_index((j1, j2, y1, y2), shape))
-
-    rows, rels, rhs = [], [], []
-    for y1 in range(n1):
-        for y2 in range(n2):
-            row = np.zeros(n)
-            for j1 in range(k1):
-                for j2 in range(k2):
-                    row[idx(j1, j2, y1, y2)] = 1.0
-            rows.append(row)
-            rels.append(EQ)
-            rhs.append(1.0)
-    for j1 in range(k1):
-        for y1 in range(n1):
-            for y2 in range(1, n2):
-                row = np.zeros(n)
-                for j2 in range(k2):
-                    row[idx(j1, j2, y1, y2)] += 1.0
-                    row[idx(j1, j2, y1, 0)] -= 1.0
-                rows.append(row)
-                rels.append(EQ)
-                rhs.append(0.0)
-    for j2 in range(k2):
-        for y2 in range(n2):
-            for y1 in range(1, n1):
-                row = np.zeros(n)
-                for j1 in range(k1):
-                    row[idx(j1, j2, y1, y2)] += 1.0
-                    row[idx(j1, j2, 0, y2)] -= 1.0
-                rows.append(row)
-                rels.append(EQ)
-                rhs.append(0.0)
+    marg_1 = v.transpose(1, 0, 2, 3)   # over j2, rows (j1, y1, y2 >= 1)
+    marg_2 = v.transpose(0, 1, 3, 2)   # over j1, rows (j2, y2, y1 >= 1)
+    rows, rels, rhs = _stack([
+        (_rows(n, *_over(v.reshape(k1 * k2, n1, n2), 1.0)), EQ, 1.0),
+        *((_rows(n, *_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)), EQ, 0.0)
+          for m in (marg_1, marg_2)),
+    ])
 
     c = np.zeros(n)
+    sent = w.probs[enc]   # (i1, i2, y1, y2)
     if objective == "joint":
-        for i1 in range(k1):
-            for i2 in range(k2):
-                x = enc[i1, i2]
-                for y1 in range(n1):
-                    for y2 in range(n2):
-                        c[idx(i1, i2, y1, y2)] += w.probs[x, y1, y2] / (k1 * k2)
+        np.add.at(c, v, sent / (k1 * k2))
     elif objective == "sum":
-        for i1 in range(k1):
-            for i2 in range(k2):
-                x = enc[i1, i2]
-                for y1 in range(n1):
-                    for y2 in range(n2):
-                        pxy = w.probs[x, y1, y2] / (2 * k1 * k2)
-                        for j2 in range(k2):
-                            c[idx(i1, j2, y1, y2)] += pxy
-                        for j1 in range(k1):
-                            c[idx(j1, i2, y1, y2)] += pxy
+        # Cell (i1, i2, y1, y2) adds its weight to v[i1, j2, y1, y2] for each
+        # j2, then to v[j1, i2, y1, y2] for each j1; np.add.at keeps that
+        # order, which fixes the float sum of the k1 + k2 terms per cell.
+        by_j2 = np.broadcast_to(v.transpose(0, 2, 3, 1)[:, None], (k1, k2, n1, n2, k2))
+        by_j1 = np.broadcast_to(v.transpose(1, 2, 3, 0)[None], (k1, k2, n1, n2, k1))
+        np.add.at(c, np.concatenate([by_j2, by_j1], axis=-1),
+                  (sent / (2 * k1 * k2))[..., None])
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
-    return LpModel(n, c, np.array(rows), tuple(rels), np.array(rhs))
+    return LpModel(n, c, rows, rels, rhs)
 
 
 @dataclass
@@ -367,16 +246,13 @@ def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
     """
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
-    lay = _CompactLayout(nx, n1, n2)
+    *blocks, n = _compact_index(nx, n1, n2)
     vec = np.asarray(getattr(solution, "assignment", solution), dtype=float)
-    if vec.shape != (lay.total,):
+    if vec.shape != (n,):
         raise InvariantViolationError(
             f"assignment length {vec.shape} does not fit channel of shape "
             f"({nx}, {n1}, {n2})")
-    p = vec[lay.p0:lay.p0 + nx].copy()
-    r = vec[lay.r0:lay.r10].reshape(nx, n1, n2).copy()
-    r1 = vec[lay.r10:lay.r20].reshape(nx, n1).copy()
-    r2 = vec[lay.r20:lay.total].reshape(nx, n2).copy()
+    p, r, r1, r2 = (vec[idx] for idx in blocks)
 
     def demand(ok: bool, what: str):
         if not ok:
@@ -415,21 +291,13 @@ def reconstruct_full_box(ns: NsSolution, k1: int, k2: int) -> np.ndarray:
     wrong2 = (ns.r1[:, :, None] - ns.r) / (kk * (k2 - 1))
     neither = (ns.p[:, None, None] - ns.r1[:, :, None] - ns.r2[:, None, :] + ns.r) / (
         kk * (k1 - 1) * (k2 - 1))
-    box = np.empty((nx, k1, k2, k1, k2, n1, n2))
-    for j1 in range(k1):
-        for j2 in range(k2):
-            for i1 in range(k1):
-                for i2 in range(k2):
-                    if j1 == i1 and j2 == i2:
-                        slab = both
-                    elif j1 != i1 and j2 == i2:
-                        slab = wrong1
-                    elif j1 == i1:
-                        slab = wrong2
-                    else:
-                        slab = neither
-                    box[:, j1, j2, i1, i2, :, :] = slab
-    return box
+    # Masks over (x, j1, j2, i1, i2, y1, y2): is j1 == i1, is j2 == i2.
+    hit1 = np.eye(k1, dtype=bool)[None, :, None, :, None, None, None]
+    hit2 = np.eye(k2, dtype=bool)[None, None, :, None, :, None, None]
+    both, wrong1, wrong2, neither = (
+        slab[:, None, None, None, None] for slab in (both, wrong1, wrong2, neither))
+    return np.where(hit1 & hit2, both,
+                    np.where(hit2, wrong1, np.where(hit1, wrong2, neither)))
 
 
 def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",

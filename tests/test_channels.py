@@ -37,6 +37,15 @@ def test_validate_rejects_negative_entry_with_location():
     assert "x=1" in str(err.value)
 
 
+def test_validate_rejects_non_finite_entries_with_location():
+    for bad in (np.nan, np.inf, -np.inf):
+        table = np.full((2, 2, 1), 0.5)
+        table[1, 0, 0] = bad
+        with pytest.raises(ValidationError, match="not finite") as err:
+            validate_channel(table)
+        assert "x=1, y1=0, y2=0" in str(err.value)
+
+
 def test_validate_rejects_bad_row_sum_naming_input():
     table = np.full((3, 2, 1), 0.5)
     table[2, 1, 0] = 0.6

@@ -51,8 +51,9 @@ def test_build_instance_validation():
         build_instance(1)
     with pytest.raises(BadParametersError):
         build_instance(2.0)
-    with pytest.raises(BadParametersError):
-        build_instance(3, delta=0.0)
+    for delta in (0.0, -0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(BadParametersError):
+            build_instance(3, delta=delta)
     with pytest.raises(BadParametersError):
         random_equipartition(7, 2, 0)
 

@@ -122,6 +122,10 @@ def test_parse_errors():
     doc["rows"] = [[[0.25], [True]]]
     with pytest.raises(ParseError, match="not a number"):
         channel_from_dict(doc)
+    doc = dense_doc()   # sizes far beyond memory, rows checked before any allocation
+    doc.update(num_outputs1=10**6, num_outputs2=10**6, rows=[[[1.0]]])
+    with pytest.raises(ParseError, match="row at x=0"):
+        channel_from_dict(doc)
 
 
 def test_validation_errors_name_the_row():
@@ -254,6 +258,19 @@ def test_cli_rejects_message_counts_below_one(tmp_path, capsys):
     for k1, k2, which in (("0", "2", "joint"), ("0", "2", "sum"), ("-1", "2", "ns-dec")):
         code, out, err = run_cli(capsys, "solve", str(path), "--k1", k1, "--k2", k2,
                                  "--which", which)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_rejects_non_finite_entries(tmp_path, capsys):
+    for literal in ("NaN", "Infinity", "1" + "0" * 400):
+        path = tmp_path / f"{literal[:8]}.json"
+        path.write_text(dumps_canonical(dense_doc()).replace("0.25", literal))
+        with pytest.raises(ValidationError, match="not finite"):
+            load_channel(path)
+        code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "1",
+                                 "--which", "joint", "sum", "ns")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

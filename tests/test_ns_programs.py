@@ -1,6 +1,8 @@
 """Non-signaling LP tests: known values, invariants, full-program cross-checks."""
 
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from bcc import (
     constraint_violation,
     extract_ns_solution,
     lp_solve,
+    lp_write_text,
     marginals,
     random_channel,
     random_dyadic_channel,
@@ -173,6 +176,36 @@ def test_full_program_matches_compact():
             compact = lp_solve(build(w, 2, 2)).value
             full = lp_solve(build_ns_full(w, 2, 2, objective)).value
             assert full == pytest.approx(compact, abs=1e-7)
+
+
+def test_builders_match_golden_lp_text():
+    """Each builder's LP text equals its fixture in tests/data.
+
+    The fixtures hold the programs as the loop-built builders emitted them,
+    so any change of row order, coefficient, right-hand side, relation,
+    objective or name shows up here, not only a change of optimal value.
+    """
+    w222 = random_dyadic_channel(2, 2, 2, seed=7, denominator=16)
+    w122 = random_dyadic_channel(1, 2, 2, seed=7, denominator=16)
+    # Not dyadic: each decoder-box "sum" coefficient adds k1 + k2 = 5 inexact
+    # terms, so the text (17 significant digits) also pins their order.
+    w322 = validate_channel(np.array([[[0.1, 0.2], [0.3, 0.4]],
+                                      [[0.7, 0.1], [0.1, 0.1]],
+                                      [[1 / 3, 1 / 6], [0.25, 0.25]]]))
+    enc = [[0, 1, 2], [2, 0, 1]]
+    models = {
+        "compact_joint": build_ns_joint(w222, 2, 2),
+        "compact_sum": build_ns_sum(w222, 2, 2),
+        "decoder_box_joint": build_decoder_box_lp(w322, enc, 2, 3, "joint"),
+        "decoder_box_sum": build_decoder_box_lp(w322, enc, 2, 3, "sum"),
+        "full_box_joint": build_ns_full(w122, 2, 2, "joint"),
+        "full_box_sum": build_ns_full(w122, 2, 2, "sum"),
+    }
+    data = Path(__file__).parent / "data"
+    for name, model in models.items():
+        buf = io.StringIO()
+        lp_write_text(model, buf)
+        assert buf.getvalue() == (data / f"{name}.lp").read_text(), name
 
 
 def test_full_program_var_cap():
