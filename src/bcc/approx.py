@@ -3,14 +3,17 @@
 Pipeline: pick the right partition first by greedily maximizing the capped
 coverage welfare sum of min(k1, distinct left neighbors of part), then pick
 the left partition either by independent uniform sampling or by the method
-of conditional expectations.  The expected quotient count of a uniform left
-partition has a closed form, the derandomized partition never falls below
-it, and degree-based caps give certified upper bounds for the ratio.
+of conditional expectations.  The greedy keeps every (bidder, item) gain in
+one integer matrix and takes its argmax at each step, stopping once the
+largest gain is 0, when every remaining item goes to bidder 0; samples are
+scored by quotient_edge_count, one numpy scatter per sample.  The expected
+quotient count of a uniform left partition has a closed form, the
+derandomized partition never falls below it, and degree-based caps give
+certified upper bounds for the ratio.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +87,7 @@ def random_left_partition(g: BipartiteGraph, num_parts: int, rng) -> Partition:
         raise BadParametersError("num_parts must be >= 1")
     rng = np.random.default_rng(rng)
     assignment = rng.integers(0, num_parts, size=g.left_size)
-    return Partition(g.left_size, num_parts, tuple(int(a) for a in assignment))
+    return Partition(g.left_size, num_parts, tuple(assignment.tolist()))
 
 
 def exact_expected_edges(g: BipartiteGraph, l1: int, p2: Partition) -> float:
@@ -143,43 +146,60 @@ def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
 
 
 def greedy_welfare(instance: WelfareInstance, item_order=None) -> Partition:
-    """Lazy greedy for the coverage welfare problem: repeatedly hand the
+    """Greedy for the coverage welfare problem: repeatedly hand the
     (bidder, item) pair of largest marginal gain its item.
 
     Ties resolve to the lowest bidder index, then the earliest item in the
-    given order (natural order by default).  Gains only shrink as bundles
-    grow, so a popped entry whose recomputed gain is unchanged is optimal.
+    given order (natural order by default).  The gains live in a (k2, items)
+    matrix with items in that order, so the first maximum np.argmax finds in
+    row-major order is the pair this rule picks.  An assignment changes only
+    the chosen bidder's row: the left vertices it newly covers no longer
+    count for the items adjacent to them, and a bidder covering k1 left
+    vertices gains nothing more.  Gains never grow, so once the largest is 0
+    every remaining item goes to bidder 0, as the rule would hand them out
+    one by one; every earlier step raises the welfare, so there are at most
+    k1 k2 of them.
     """
     g, k1, k2 = instance.graph, instance.k1, instance.k2
     order = tuple(range(g.right_size)) if item_order is None else tuple(item_order)
     if sorted(order) != list(range(g.right_size)):
         raise BadParametersError("item_order must be a permutation of the right side")
+    n = g.right_size
+    U, V = g.edge_arrays
+    position = np.empty(n, dtype=np.intp)
+    position[list(order)] = np.arange(n)
+    # Edges U[i], V[i] are sorted by left end: V[out_start[u]:out_start[u + 1]]
+    # are u's right neighbors.  by_item sorts them by right end instead.
+    out_start = np.searchsorted(U, np.arange(g.left_size + 1))
+    by_item = np.argsort(V, kind="stable")
+    in_start = np.searchsorted(V[by_item], np.arange(n + 1))
 
-    def value(mask: int) -> int:
-        return min(k1, mask.bit_count())
-
-    bundles = [0] * k2
-    assignment = [-1] * g.right_size
-    heap = []
-    for pos, item in enumerate(order):
-        gain = value(g.left_masks[item])
-        for b in range(k2):
-            heap.append((-gain, b, pos))
-    heapq.heapify(heap)
-    remaining = g.right_size
-    while remaining:
-        neg_gain, b, pos = heapq.heappop(heap)
+    # uncovered[b, p]: left neighbors of item order[p] not yet covered by b.
+    uncovered = np.tile(np.bincount(position[V], minlength=n), (k2, 1))
+    gain = np.minimum(uncovered, k1)
+    covered = np.zeros((k2, g.left_size), dtype=bool)
+    room = [k1] * k2
+    taken = np.zeros(n, dtype=bool)
+    assignment = [0] * n
+    for _ in range(n):
+        b, pos = divmod(int(np.argmax(gain)), n)
+        if gain[b, pos] <= 0:
+            break
         item = order[pos]
-        if assignment[item] >= 0:
-            continue
-        gain = value(bundles[b] | g.left_masks[item]) - value(bundles[b])
-        if gain == -neg_gain:
-            assignment[item] = b
-            bundles[b] |= g.left_masks[item]
-            remaining -= 1
-        else:
-            heapq.heappush(heap, (-gain, b, pos))
-    return Partition(g.right_size, k2, tuple(assignment))
+        assignment[item] = b
+        taken[pos] = True
+        gain[:, pos] = -1
+        nbrs = U[by_item[in_start[item]:in_start[item + 1]]]
+        new = nbrs[~covered[b, nbrs]]
+        covered[b, new] = True
+        room[b] = max(0, room[b] - len(new))
+        if room[b]:
+            touched = np.concatenate([V[out_start[u]:out_start[u + 1]] for u in new])
+            uncovered[b] -= np.bincount(position[touched], minlength=n)
+        row = np.minimum(uncovered[b], room[b])
+        row[taken] = -1
+        gain[b] = row
+    return Partition(n, k2, tuple(assignment))
 
 
 def _sample_chunk(g: BipartiteGraph, num_parts: int, p2: Partition, seeds):

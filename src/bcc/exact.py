@@ -215,8 +215,7 @@ def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) ->
 
 def _quotient_cell_table(g: BipartiteGraph):
     adj = np.zeros((g.left_size, g.right_size))
-    for u, v in g.edges():
-        adj[u, v] = 1.0
+    adj[g.edge_arrays] = 1.0
     yield (_pair_subset_table(adj) > 0).astype(float)
 
 

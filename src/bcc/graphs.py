@@ -3,7 +3,8 @@
 The central quantity is the number of edges of the quotient graph: merge the
 left side along one partition and the right side along another, drop parallel
 edges, and count what is left.  Everything here works on plain index-based
-vertices; bitmasks over parts keep the counting fast at enumeration scale.
+vertices.  Quotient counting scatters each edge's part pair into a boolean
+table over the k1 k2 part pairs, using the graph's cached edge arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BadPartIndexError,
@@ -57,6 +60,17 @@ class BipartiteGraph:
             for v in row:
                 masks[v] |= 1 << u
         return tuple(masks)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge list as read-only arrays (U, V) of left and right ends, in
+        adjacency order: U ascending, each left vertex's neighbors sorted."""
+        degrees = [len(row) for row in self.adjacency]
+        left = np.repeat(np.arange(self.left_size, dtype=np.intp), degrees)
+        right = np.fromiter(itertools.chain.from_iterable(self.adjacency),
+                            dtype=np.intp, count=len(left))
+        left.flags.writeable = right.flags.writeable = False
+        return left, right
 
     def edges(self):
         for u, row in enumerate(self.adjacency):
@@ -131,14 +145,13 @@ def _check_sides(g: BipartiteGraph, p1: Partition, p2: Partition):
 def quotient_edge_count(g: BipartiteGraph, p1: Partition, p2: Partition) -> int:
     """Number of distinct part pairs (i1, i2) joined by at least one edge."""
     _check_sides(g, p1, p2)
+    U, V = g.edge_arrays
     k2 = p2.num_parts
-    a1, a2 = p1.assignment, p2.assignment
-    seen = 0
-    for u, row in enumerate(g.adjacency):
-        base = a1[u] * k2
-        for v in row:
-            seen |= 1 << (base + a2[v])
-    return seen.bit_count()
+    a1 = np.asarray(p1.assignment, dtype=np.intp)
+    a2 = np.asarray(p2.assignment, dtype=np.intp)
+    hit = np.zeros(p1.num_parts * k2, dtype=bool)
+    hit[a1[U] * k2 + a2[V]] = True
+    return int(np.count_nonzero(hit))
 
 
 def quotient_degree(g: BipartiteGraph, p1: Partition, p2: Partition, side: str, part: int) -> int:

@@ -32,6 +32,7 @@ from .errors import (
 from .simplex import EQ, GE, LE, LpModel, LpSolution, lp_solve
 
 DEFAULT_FULL_VAR_CAP = 20_000
+FULL_DENSE_ENTRY_CAP = 10**7  # rows x variables of the dense full-box matrix, 80 MB
 EXTRACT_TOL = 1e-7
 
 
@@ -134,8 +135,9 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     """Explicit program over full boxes P(x j1 j2 | (i1 i2) y1 y2).
 
     Exponentially larger than the compact form; guarded by a variable cap and
-    meant for cross-checking on tiny instances.  Variables are laid out
-    row-major over (x, j1, j2, i1, i2, y1, y2).
+    by FULL_DENSE_ENTRY_CAP on rows x variables, and meant for
+    cross-checking on tiny instances.  Variables are laid out row-major over
+    (x, j1, j2, i1, i2, y1, y2).
     """
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
@@ -143,6 +145,12 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     n = int(np.prod(shape))
     if n > cap:
         raise SizeCapExceededError(n, cap)
+    # Row counts of the four families below, so a dense matrix that would not
+    # fit is refused before anything is allocated.
+    num_rows = (k1 * k2 * n1 * n2 * (k1 * k2 - 1) + nx * k1 * k2 * k2 * n2 * (n1 - 1)
+                + nx * k1 * k1 * k2 * n1 * (n2 - 1) + k1 * k2 * n1 * n2)
+    if num_rows * n > FULL_DENSE_ENTRY_CAP:
+        raise SizeCapExceededError(num_rows * n, FULL_DENSE_ENTRY_CAP)
     v = np.arange(n).reshape(shape)
 
     # Each index array below puts the summed axis first and the row axes

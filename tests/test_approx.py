@@ -1,6 +1,8 @@
 """Approximation pipeline tests: rounding, greedy welfare, certified bounds."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bcc import (
     WelfareInstance,
     approximate_detbcc,
     approximate_dqg,
+    channel_graph,
     degree_upper_bound,
     derandomize_left,
     distinct_left_neighbors,
@@ -102,6 +105,26 @@ def test_lazy_greedy_matches_naive():
         assert greedy_welfare(instance, order) == naive_greedy(instance, order)
 
 
+def test_greedy_matches_naive_at_edges():
+    rng = np.random.default_rng(31)
+    isolated = make_graph(12, 25, [(u, v) for u in range(12) for v in range(0, 25, 3)
+                                   if rng.random() < 0.4])
+    cases = [
+        (random_bipartite_graph(12, 25, 0.3, seed=1), 1, 4),    # all saturate at once
+        (random_bipartite_graph(12, 25, 0.2, seed=2), 13, 3),   # none can saturate
+        (make_graph(12, 25, []), 2, 3),                         # no edges
+        (isolated, 3, 4),                                       # isolated right vertices
+        (random_bipartite_graph(12, 25, 0.5, seed=3), 4, 5),
+        (random_bipartite_graph(1, 25, 0.5, seed=4), 2, 5),
+    ]
+    for g, k1, k2 in cases:
+        instance = WelfareInstance(g, k1, k2)
+        assert greedy_welfare(instance) == naive_greedy(instance)
+        for _ in range(2):
+            order = tuple(int(v) for v in rng.permutation(g.right_size))
+            assert greedy_welfare(instance, order) == naive_greedy(instance, order)
+
+
 def test_greedy_welfare_half_approximation():
     rng = np.random.default_rng(37)
     for trial in range(8):
@@ -157,6 +180,23 @@ def test_approximate_dqg_deterministic_per_seed():
     second = approximate_dqg(g, 2, 2, seed=3)
     assert first == second
     assert first.rng_seed == 3
+
+
+def test_approximate_dqg_matches_golden():
+    """Results pinned from an earlier implementation: a changed greedy
+    tie-break or sampling stream moves a value or an assignment."""
+    data = Path(__file__).parent / "data" / "approx_golden.json"
+    for case in json.loads(data.read_text()):
+        spec = case["graph"]
+        if spec["kind"] == "random_bipartite_graph":
+            g = random_bipartite_graph(*spec["args"], seed=spec["seed"])
+        else:
+            g = channel_graph(random_deterministic_channel(*spec["args"], seed=spec["seed"]))
+        res = approximate_dqg(g, *case["k"], seed=case["seed"])
+        assert (res.value, res.upper_bound, res.samples_used) == (
+            case["value"], case["upper_bound"], case["samples_used"])
+        assert list(res.p1.assignment) == case["p1"]
+        assert list(res.p2.assignment) == case["p2"]
 
 
 def test_singleton_fast_paths():

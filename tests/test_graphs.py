@@ -26,6 +26,10 @@ def test_make_graph_dedups_and_sorts():
     g = make_graph(3, 2, [(2, 1), (0, 0), (2, 1), (0, 1)])
     assert g.adjacency == ((0, 1), (), (1,))
     assert list(g.edges()) == [(0, 0), (0, 1), (2, 1)]
+    U, V = g.edge_arrays
+    assert list(zip(U.tolist(), V.tolist())) == list(g.edges())
+    assert not U.flags.writeable and not V.flags.writeable
+    assert g.edge_arrays is g.edge_arrays
     assert g.edge_count == 3
     assert g.degree_left(0) == 2 and g.degree_left(1) == 0
     assert g.degree_right(1) == 2
@@ -87,6 +91,20 @@ def test_quotient_count_matches_set_oracle(seed):
     p1 = Partition(v1, k1, tuple(int(v) for v in rng.integers(0, k1, v1)))
     p2 = Partition(v2, k2, tuple(int(v) for v in rng.integers(0, k2, v2)))
     assert quotient_edge_count(g, p1, p2) == quotient_edges_sets(g, p1, p2)
+
+
+def test_quotient_count_edgeless_and_many_parts():
+    rng = np.random.default_rng(83)
+    g = random_bipartite_graph(20, 30, 0.3, seed=83)
+    cases = [(make_graph(5, 4, []), 3, 2), (make_graph(0, 0, []), 2, 2),
+             (g, 9, 10), (g, 20, 30)]
+    for g, k1, k2 in cases:
+        for _ in range(5):
+            p1 = Partition(g.left_size, k1, tuple(int(v) for v in rng.integers(0, k1, g.left_size)))
+            p2 = Partition(g.right_size, k2, tuple(int(v) for v in rng.integers(0, k2, g.right_size)))
+            count = quotient_edge_count(g, p1, p2)
+            assert type(count) is int
+            assert count == quotient_edges_sets(g, p1, p2)
 
 
 def test_quotient_degree():

@@ -1,6 +1,7 @@
 """Non-signaling LP tests: known values, invariants, full-program cross-checks."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +213,21 @@ def test_full_program_var_cap():
     w = random_channel(2, 2, 2, seed=1)
     with pytest.raises(SizeCapExceededError):
         build_ns_full(w, 2, 2, cap=10)
+
+
+def test_full_program_dense_size_cap():
+    # 19 440 variables pass the variable cap, but the 11 016 dense rows would
+    # take about 1.7 GB: refused before any of it is allocated.
+    w = random_channel(15, 4, 4, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceededError) as err:
+            build_ns_full(w, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.needed == 11_016 * 19_440
+    assert peak < 10**6
 
 
 def test_decoder_box_one_input_values():
