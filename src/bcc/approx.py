@@ -9,7 +9,9 @@ largest gain is 0, when every remaining item goes to bidder 0; samples are
 scored by quotient_edge_count, one numpy scatter per sample.  The expected
 quotient count of a uniform left partition has a closed form, the
 derandomized partition never falls below it, and degree-based caps give
-certified upper bounds for the ratio.
+certified upper bounds for the ratio.  All of it reads the graph's edge
+arrays: the distinct (left vertex, right part) pairs among the edges give each
+right part's left degree and each left vertex's right parts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .channels import DeterministicChannel, channel_graph
 from .errors import BadParametersError, InvariantViolationError, SideMismatchError
 from .exact import Code, code_from_partitions
-from .graphs import BipartiteGraph, Partition, quotient_edge_count, singleton_partition
+from .graphs import (BipartiteGraph, Partition, distinct_values, quotient_edge_count,
+                     singleton_partition)
 
 DEFAULT_NUM_SAMPLES = 64
 DEFAULT_GREEDY_RESTARTS = 4
@@ -52,14 +55,15 @@ class ApproxResult:
     samples_used: int
 
 
-def _part_neighbor_masks(g: BipartiteGraph, p2: Partition) -> list[int]:
+def _part_incidences(g: BipartiteGraph, p2: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (left vertex, right part) pairs joined by an edge, as arrays
+    (L, P) sorted by (L, P): the left neighbours of each right part of p2."""
     if p2.ground_size != g.right_size:
         raise SideMismatchError(
             f"partition covers {p2.ground_size} vertices, right side has {g.right_size}")
-    masks = [0] * p2.num_parts
-    for v, mask in enumerate(g.left_masks):
-        masks[p2.assignment[v]] |= mask
-    return masks
+    U, V = g.edge_arrays
+    k2 = p2.num_parts
+    return np.divmod(distinct_values(U * k2 + np.asarray(p2.assignment, dtype=np.intp)[V]), k2)
 
 
 def upper_bound_right(g: BipartiteGraph, k1: int, p2: Partition) -> int:
@@ -67,17 +71,18 @@ def upper_bound_right(g: BipartiteGraph, k1: int, p2: Partition) -> int:
     quotient edges achievable against any left partition into k1 parts."""
     if k1 < 1:
         raise BadParametersError("k1 must be >= 1")
-    return sum(min(k1, m.bit_count()) for m in _part_neighbor_masks(g, p2))
+    _, parts = _part_incidences(g, p2)
+    return int(np.minimum(np.bincount(parts), k1).sum())
 
 
 def left_degree_bound(g: BipartiteGraph, k1: int, k2: int) -> int:
     """min(k1 k2, sum over left vertices of min(k2, degree))."""
-    return min(k1 * k2, sum(min(k2, g.degree_left(u)) for u in range(g.left_size)))
+    return min(k1 * k2, int(np.minimum(np.bincount(g.edge_arrays[0]), k2).sum()))
 
 
 def degree_upper_bound(g: BipartiteGraph, k1: int, k2: int) -> int:
     """Two-sided degree cap bounding the optimal quotient edge count."""
-    right = min(k1 * k2, sum(min(k1, g.degree_right(v)) for v in range(g.right_size)))
+    right = min(k1 * k2, int(np.minimum(np.bincount(g.edge_arrays[1]), k1).sum()))
     return min(left_degree_bound(g, k1, k2), right)
 
 
@@ -99,8 +104,9 @@ def exact_expected_edges(g: BipartiteGraph, l1: int, p2: Partition) -> float:
     if l1 < 1:
         raise BadParametersError("l1 must be >= 1")
     miss = 1.0 - 1.0 / l1
-    return float(l1 * sum(1.0 - miss ** m.bit_count()
-                          for m in _part_neighbor_masks(g, p2)))
+    _, parts = _part_incidences(g, p2)
+    degrees = np.bincount(parts, minlength=p2.num_parts).tolist()
+    return float(l1 * sum(1.0 - miss ** d for d in degrees))
 
 
 def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
@@ -108,40 +114,32 @@ def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
 
     The returned partition's quotient count is at least the uniform-sampling
     expectation, because every step picks a branch at or above the running
-    conditional mean.
+    conditional mean.  Over u's right parts i in ascending order, label c
+    scores the sum of h + (l1 - h) (1 - (1 - 1/l1)^(n_i - 1)), where h labels
+    of part i are hit once u takes c and n_i of its neighbours are unplaced.
+    All l1 labels are scored at once on a (parts x l1) hit matrix, adding the
+    same floats in the same order as a loop over labels, so the lowest label
+    wins ties.
     """
     if l1 < 1:
         raise BadParametersError("l1 must be >= 1")
-    part_masks = _part_neighbor_masks(g, p2)
-    parts_of = [[] for _ in range(g.left_size)]
-    for i, mask in enumerate(part_masks):
-        while mask:
-            low = mask & -mask
-            parts_of[low.bit_length() - 1].append(i)
-            mask ^= low
-    hit = [0] * len(part_masks)
-    unassigned = [m.bit_count() for m in part_masks]
+    left, parts = _part_incidences(g, p2)
+    others = np.bincount(parts, minlength=p2.num_parts) - 1  # n_i - 1 when u is placed
     miss = 1.0 - 1.0 / l1
-    assignment = []
+    # rest[j] = 1 - miss^j in Python floats, as the score defines it
+    rest = np.array([1.0 - miss ** j for j in range(int(others.max()) + 1)])
+    hit = np.zeros((p2.num_parts, l1), dtype=bool)
+    bounds = np.searchsorted(left, np.arange(g.left_size + 1)).tolist()
+    assignment = [0] * g.left_size
     for u in range(g.left_size):
-        relevant = parts_of[u]
-        if not relevant:
-            assignment.append(0)
-            continue
-        best_c, best_score = 0, -np.inf
-        for c in range(l1):
-            bit = 1 << c
-            score = 0.0
-            for i in relevant:
-                hitc = (hit[i] | bit).bit_count()
-                score += hitc + (l1 - hitc) * (1.0 - miss ** (unassigned[i] - 1))
-            if score > best_score:
-                best_c, best_score = c, score
-        assignment.append(best_c)
-        bit = 1 << best_c
-        for i in relevant:
-            hit[i] |= bit
-            unassigned[i] -= 1
+        relevant = parts[bounds[u]:bounds[u + 1]]  # empty: every label scores 0
+        rows = hit[relevant]
+        hits = rows.sum(axis=1, keepdims=True) + ~rows
+        score = (hits + (l1 - hits) * rest[others[relevant], None]).sum(axis=0)
+        best = int(score.argmax())
+        assignment[u] = best
+        hit[relevant, best] = True
+        others[relevant] -= 1
     return Partition(g.left_size, l1, tuple(assignment))
 
 

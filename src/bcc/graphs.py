@@ -3,15 +3,16 @@
 The central quantity is the number of edges of the quotient graph: merge the
 left side along one partition and the right side along another, drop parallel
 edges, and count what is left.  Everything here works on plain index-based
-vertices.  Quotient counting scatters each edge's part pair into a boolean
-table over the k1 k2 part pairs, using the graph's cached edge arrays.
+vertices.  A graph is stored only as its edge list, two integer arrays (U, V)
+sorted by (left, right) end; degrees, neighbourhoods and quotient counts are
+numpy reductions over them: bincounts, sorted distinct values, or a scatter
+into a boolean table over the k1 k2 part pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,77 +26,68 @@ from .errors import (
 DEFAULT_ENUM_CAP = 10**7
 
 
-@dataclass(frozen=True)
+def distinct_values(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array.  Sorting and masking repeats is
+    about 20x faster than np.unique, which hashes first (numpy 2.4)."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Bipartite graph on [left_size] x [right_size] with sorted adjacency."""
+    """Bipartite graph on [left_size] x [right_size], stored as its edge list.
+
+    edge_arrays = (U, V): edge i joins left vertex U[i] to right vertex V[i].
+    The edges are distinct and sorted by (left, right) end, so U ascends and
+    each left vertex's neighbours ascend.  The constructor copies both arrays
+    to read-only np.intp arrays.  Graphs compare and hash by identity.
+    """
 
     left_size: int
     right_size: int
-    adjacency: tuple[tuple[int, ...], ...]  # adjacency[u] = sorted right neighbors
+    edge_arrays: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         if self.left_size < 0 or self.right_size < 0:
             raise ValidationError("vertex counts must be nonnegative")
-        if len(self.adjacency) != self.left_size:
-            raise ValidationError("adjacency length must equal left_size")
-        for u, nbrs in enumerate(self.adjacency):
-            if any(v < 0 or v >= self.right_size for v in nbrs):
-                raise ValidationError(f"neighbor out of range at left vertex {u}")
-            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
-                raise ValidationError(f"neighbors of {u} must be sorted and distinct")
-
-    @cached_property
-    def right_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.right_size)]
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                nbrs[v].append(u)
-        return tuple(tuple(row) for row in nbrs)
-
-    @cached_property
-    def left_masks(self) -> tuple[int, ...]:
-        """For each right vertex, a bitmask of its left neighbors."""
-        masks = [0] * self.right_size
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                masks[v] |= 1 << u
-        return tuple(masks)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge list as read-only arrays (U, V) of left and right ends, in
-        adjacency order: U ascending, each left vertex's neighbors sorted."""
-        degrees = [len(row) for row in self.adjacency]
-        left = np.repeat(np.arange(self.left_size, dtype=np.intp), degrees)
-        right = np.fromiter(itertools.chain.from_iterable(self.adjacency),
-                            dtype=np.intp, count=len(left))
-        left.flags.writeable = right.flags.writeable = False
-        return left, right
+        U, V = (np.array(a, dtype=np.intp) for a in self.edge_arrays)
+        if U.ndim != 1 or U.shape != V.shape:
+            raise ValidationError("edge arrays must be 1-d and of equal length")
+        if len(U) and (min(U.min(), V.min()) < 0 or U.max() >= self.left_size
+                       or V.max() >= self.right_size):
+            raise ValidationError("edge end out of range")
+        code = U * self.right_size + V
+        if np.any(code[1:] <= code[:-1]):
+            raise ValidationError("edges must be sorted by (left, right) and distinct")
+        U.flags.writeable = V.flags.writeable = False
+        object.__setattr__(self, "edge_arrays", (U, V))
 
     def edges(self):
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                yield u, v
+        """Iterator over the (left, right) pairs as Python ints, in sorted order."""
+        U, V = self.edge_arrays
+        return zip(U.tolist(), V.tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency)
-
-    def degree_left(self, u: int) -> int:
-        return len(self.adjacency[u])
-
-    def degree_right(self, v: int) -> int:
-        return len(self.right_adjacency[v])
+        return len(self.edge_arrays[0])
 
 
 def make_graph(left_size, right_size, edges) -> BipartiteGraph:
     """Build a graph from an iterable of (left, right) pairs, deduplicated."""
-    rows = [set() for _ in range(left_size)]
-    for u, v in edges:
-        if not (0 <= u < left_size and 0 <= v < right_size):
-            raise ValidationError(f"edge ({u}, {v}) out of range")
-        rows[u].add(v)
-    return BipartiteGraph(left_size, right_size, tuple(tuple(sorted(r)) for r in rows))
+    pairs = np.asarray(list(edges))
+    if len(pairs) == 0:
+        pairs = pairs.astype(np.intp).reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValidationError("edges must be (left, right) integer pairs")
+    u, v = pairs.astype(np.intp, copy=False).T
+    bad = (u < 0) | (u >= left_size) | (v < 0) | (v >= right_size)
+    if bad.any():
+        u0, v0 = pairs[np.argmax(bad)].tolist()
+        raise ValidationError(f"edge ({u0}, {v0}) out of range")
+    return BipartiteGraph(left_size, right_size,
+                          np.divmod(distinct_values(u * right_size + v), right_size))
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,8 @@ class Partition:
             raise ValidationError("num_parts must be >= 1")
         if len(self.assignment) != self.ground_size:
             raise ValidationError("assignment length must equal ground_size")
-        if any(a < 0 or a >= self.num_parts for a in self.assignment):
+        if self.assignment and (min(self.assignment) < 0
+                                or max(self.assignment) >= self.num_parts):
             raise ValidationError("part index out of range")
 
     def part(self, index: int) -> tuple[int, ...]:
@@ -162,28 +155,23 @@ def quotient_degree(g: BipartiteGraph, p1: Partition, p2: Partition, side: str, 
     own = p1 if side == "left" else p2
     if not (0 <= part < own.num_parts):
         raise BadPartIndexError(f"part {part} not in range({own.num_parts})")
-    mask = 0
-    if side == "left":
-        for u, row in enumerate(g.adjacency):
-            if p1.assignment[u] == part:
-                for v in row:
-                    mask |= 1 << p2.assignment[v]
-    else:
-        for v, row in enumerate(g.right_adjacency):
-            if p2.assignment[v] == part:
-                for u in row:
-                    mask |= 1 << p1.assignment[u]
-    return mask.bit_count()
+    U, V = g.edge_arrays
+    ends = (np.asarray(p1.assignment, dtype=np.intp)[U],
+            np.asarray(p2.assignment, dtype=np.intp)[V])
+    mine, theirs = ends if side == "left" else ends[::-1]
+    return len(distinct_values(theirs[mine == part]))
 
 
 def distinct_left_neighbors(g: BipartiteGraph, right_subset) -> int:
     """Count left vertices adjacent to the given set of right vertices."""
-    mask = 0
-    for v in right_subset:
-        if not (0 <= v < g.right_size):
-            raise ValidationError(f"right vertex {v} out of range")
-        mask |= g.left_masks[v]
-    return mask.bit_count()
+    subset = np.fromiter(right_subset, dtype=np.intp)
+    bad = (subset < 0) | (subset >= g.right_size)
+    if bad.any():
+        raise ValidationError(f"right vertex {subset[np.argmax(bad)]} out of range")
+    chosen = np.zeros(g.right_size, dtype=bool)
+    chosen[subset] = True
+    U, V = g.edge_arrays
+    return len(distinct_values(U[chosen[V]]))
 
 
 def enumerate_partitions(ground_size: int, num_parts: int, cap: int = DEFAULT_ENUM_CAP):

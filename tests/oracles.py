@@ -66,13 +66,14 @@ def best_code_bruteforce(w, k1: int, k2: int, mode: str = "joint",
     return best / (k1 * k2)
 
 
+def quotient_pair_set(g, p1, p2) -> set:
+    """Part pairs (i1, i2) joined by at least one edge, as an explicit set."""
+    return {(p1.assignment[u], p2.assignment[v]) for u, v in g.edges()}
+
+
 def quotient_edges_sets(g, p1, p2) -> int:
     """Quotient edge count through explicit pair sets."""
-    seen = set()
-    for u in range(g.left_size):
-        for v in g.adjacency[u]:
-            seen.add((p1.assignment[u], p2.assignment[v]))
-    return len(seen)
+    return len(quotient_pair_set(g, p1, p2))
 
 
 def dqg_bruteforce(g, k1: int, k2: int):

@@ -10,6 +10,7 @@ from bcc.errors import (
 )
 from bcc.generators import random_bipartite_graph
 from bcc.graphs import (
+    BipartiteGraph,
     Partition,
     distinct_left_neighbors,
     enumerate_partitions,
@@ -19,21 +20,17 @@ from bcc.graphs import (
     quotient_edge_count,
     singleton_partition,
 )
-from oracles import quotient_edges_sets
+from oracles import quotient_edges_sets, quotient_pair_set
 
 
 def test_make_graph_dedups_and_sorts():
     g = make_graph(3, 2, [(2, 1), (0, 0), (2, 1), (0, 1)])
-    assert g.adjacency == ((0, 1), (), (1,))
     assert list(g.edges()) == [(0, 0), (0, 1), (2, 1)]
     U, V = g.edge_arrays
-    assert list(zip(U.tolist(), V.tolist())) == list(g.edges())
+    assert U.tolist() == [0, 0, 2] and V.tolist() == [0, 1, 1]
+    assert U.dtype == V.dtype == np.intp
     assert not U.flags.writeable and not V.flags.writeable
-    assert g.edge_arrays is g.edge_arrays
     assert g.edge_count == 3
-    assert g.degree_left(0) == 2 and g.degree_left(1) == 0
-    assert g.degree_right(1) == 2
-    assert g.right_adjacency == ((0,), (0, 2))
 
 
 def test_make_graph_rejects_out_of_range():
@@ -41,16 +38,32 @@ def test_make_graph_rejects_out_of_range():
         make_graph(2, 2, [(2, 0)])
     with pytest.raises(ValidationError):
         make_graph(2, 2, [(0, -1)])
+    for edges in ([(0, 0.5)], [(0, 1, 1)], [()]):   # not integer pairs
+        with pytest.raises(ValidationError):
+            make_graph(2, 2, edges)
 
 
-def test_left_masks():
-    g = make_graph(3, 2, [(0, 0), (2, 0), (2, 1)])
-    assert g.left_masks == (0b101, 0b100)
+def test_graph_rejects_bad_edge_arrays():
+    U = np.array([0, 0, 2])
+    g = BipartiteGraph(3, 2, (U, [0, 1, 1]))
+    U[0] = 1    # the graph holds its own copy
+    assert list(g.edges()) == [(0, 0), (0, 1), (2, 1)]
+    for U, V in [([0, 0, 2], [1, 0, 1]),      # neighbours unsorted
+                 ([2, 0], [0, 0]),            # left ends unsorted
+                 ([0, 0], [1, 1]),            # duplicate edge
+                 ([0, 3], [0, 0]),            # left end out of range
+                 ([0, 1], [0, 2]),            # right end out of range
+                 ([-1, 0], [1, 0]),           # negative end
+                 ([0, 1], [0])]:              # lengths differ
+        with pytest.raises(ValidationError):
+            BipartiteGraph(3, 2, (U, V))
 
 
 def test_partition_validation():
     with pytest.raises(ValidationError):
         Partition(2, 2, (0, 2))
+    with pytest.raises(ValidationError):
+        Partition(2, 2, (-1, 0))
     with pytest.raises(ValidationError):
         Partition(2, 2, (0,))
     p = Partition(4, 2, (0, 1, 0, 1))
@@ -91,6 +104,11 @@ def test_quotient_count_matches_set_oracle(seed):
     p1 = Partition(v1, k1, tuple(int(v) for v in rng.integers(0, k1, v1)))
     p2 = Partition(v2, k2, tuple(int(v) for v in rng.integers(0, k2, v2)))
     assert quotient_edge_count(g, p1, p2) == quotient_edges_sets(g, p1, p2)
+    pairs = quotient_pair_set(g, p1, p2)
+    for part in range(k1):
+        assert quotient_degree(g, p1, p2, "left", part) == sum(a == part for a, _ in pairs)
+    for part in range(k2):
+        assert quotient_degree(g, p1, p2, "right", part) == sum(b == part for _, b in pairs)
 
 
 def test_quotient_count_edgeless_and_many_parts():
@@ -124,6 +142,9 @@ def test_distinct_left_neighbors():
     assert distinct_left_neighbors(g, [0, 1]) == 2
     assert distinct_left_neighbors(g, [0, 1, 2]) == 3
     assert distinct_left_neighbors(g, []) == 0
+    for subset in ([-1], [g.right_size]):
+        with pytest.raises(ValidationError):
+            distinct_left_neighbors(g, subset)
 
 
 def test_enumerate_partitions_lex_and_cap():
