@@ -57,7 +57,6 @@ from .graphs import (
 )
 from .approx import (
     ApproxResult,
-    WelfareInstance,
     approximate_detbcc,
     approximate_dqg,
     degree_upper_bound,

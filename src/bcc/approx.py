@@ -27,21 +27,7 @@ from .graphs import (BipartiteGraph, Partition, distinct_values, quotient_edge_c
                      singleton_partition)
 
 DEFAULT_NUM_SAMPLES = 64
-DEFAULT_GREEDY_RESTARTS = 4
-
-
-@dataclass(frozen=True)
-class WelfareInstance:
-    """Coverage welfare: split right vertices among k2 bidders who all value
-    a bundle at min(k1, number of distinct left neighbors)."""
-
-    graph: BipartiteGraph
-    k1: int
-    k2: int
-
-    def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise BadParametersError("need k1 >= 1 and k2 >= 1")
+GREEDY_RESTARTS = 4
 
 
 @dataclass
@@ -143,9 +129,11 @@ def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
     return Partition(g.left_size, l1, tuple(assignment))
 
 
-def greedy_welfare(instance: WelfareInstance, item_order=None) -> Partition:
-    """Greedy for the coverage welfare problem: repeatedly hand the
-    (bidder, item) pair of largest marginal gain its item.
+def greedy_welfare(g: BipartiteGraph, k1: int, k2: int, item_order=None) -> Partition:
+    """Greedy for coverage welfare: split the right vertices (items) of g
+    among k2 bidders who all value a bundle at min(k1, number of distinct
+    left neighbors), repeatedly handing the (bidder, item) pair of largest
+    marginal gain its item.
 
     Ties resolve to the lowest bidder index, then the earliest item in the
     given order (natural order by default).  The gains live in a (k2, items)
@@ -158,7 +146,8 @@ def greedy_welfare(instance: WelfareInstance, item_order=None) -> Partition:
     one by one; every earlier step raises the welfare, so there are at most
     k1 k2 of them.
     """
-    g, k1, k2 = instance.graph, instance.k1, instance.k2
+    if k1 < 1 or k2 < 1:
+        raise BadParametersError("need k1 >= 1 and k2 >= 1")
     order = tuple(range(g.right_size)) if item_order is None else tuple(item_order)
     if sorted(order) != list(range(g.right_size)):
         raise BadParametersError("item_order must be a permutation of the right side")
@@ -210,15 +199,14 @@ def _sample_chunk(g: BipartiteGraph, num_parts: int, p2: Partition, seeds):
 
 
 def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
-                    num_samples: int = DEFAULT_NUM_SAMPLES,
-                    greedy_restarts: int = DEFAULT_GREEDY_RESTARTS) -> ApproxResult:
+                    num_samples: int = DEFAULT_NUM_SAMPLES) -> ApproxResult:
     """Approximate the densest quotient with certified bounds.
 
-    The right partition is the best of several greedy welfare runs over
-    shuffled item orders; the left partition is the best of the
-    conditional-expectation rounding and num_samples uniform draws, each
-    from its own child of the seed's SeedSequence, so one seed always gives
-    one result.  The reported ratio certificate compares against a
+    The right partition is the best of GREEDY_RESTARTS greedy welfare runs,
+    the first in natural item order and the rest over shuffled orders; the
+    left partition is the best of the conditional-expectation rounding and
+    num_samples uniform draws, each from its own child of the seed's
+    SeedSequence, so one seed always gives one result.  The reported ratio certificate compares against a
     degree-based upper bound on the true optimum, never against the
     heuristic value itself.
     """
@@ -232,12 +220,11 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     if k2 >= g.right_size:
         p2 = singleton_partition(g.right_size, k2)
     else:
-        instance = WelfareInstance(g, k1, k2)
-        candidates = [greedy_welfare(instance)]
+        candidates = [greedy_welfare(g, k1, k2)]
         order_rng = np.random.default_rng(order_seed)
-        for _ in range(max(0, greedy_restarts - 1)):
+        for _ in range(GREEDY_RESTARTS - 1):
             shuffled = order_rng.permutation(g.right_size)
-            candidates.append(greedy_welfare(instance, tuple(int(v) for v in shuffled)))
+            candidates.append(greedy_welfare(g, k1, k2, tuple(int(v) for v in shuffled)))
         p2, best_welfare = None, -1
         for cand in candidates:
             welfare = upper_bound_right(g, k1, cand)

@@ -107,8 +107,8 @@ def _solve_quantities(report: Report, table, det, k1: int, k2: int,
     """Compute the requested optima and cross-check every pair the run admits."""
     q = report.quantities
     tol = args.check_tol
-    exact = getattr(args, "exact", False)
-    cap = getattr(args, "enum_cap", DEFAULT_ENUM_CAP)
+    exact = args.exact
+    cap = args.enum_cap
 
     if "joint" in wanted:
         rep = solve_joint(table, k1, k2, cap=cap)
@@ -184,10 +184,9 @@ def _solve_quantities(report: Report, table, det, k1: int, k2: int,
                              "S_ns", q["S_ns"], "<=",
                              "ns_degree_bound", q["ns_degree_bound"], tol)
 
-    export = getattr(args, "lp_export", None)
-    if export:
+    if args.lp_export:
         build = build_ns_sum if wanted == ("ns-sum",) else build_ns_joint
-        with open(_resolve(export), "w") as fp:
+        with open(_resolve(args.lp_export), "w") as fp:
             lp_write_text(build(table, k1, k2), fp)
 
 
@@ -228,15 +227,17 @@ def cmd_tensor(args) -> Report:
 
 
 def cmd_approx(args) -> Report:
-    channel = load_channel(args.channel)
-    table, det = _as_table(channel)
-    if det is None:
-        raise ValidationError("approximation requires a deterministic channel")
+    det = load_channel(args.channel)
+    if not isinstance(det, DeterministicChannel):
+        try:
+            det = to_deterministic(det)
+        except NotDeterministicError:
+            raise ValidationError("approximation requires a deterministic channel")
     graph = channel_graph(det)
     res = approximate_dqg(graph, args.k1, args.k2, seed=args.seed,
                           num_samples=args.samples)
     code = code_from_partitions(det, res.p1, res.p2)
-    success = joint_success(table, code)
+    success = joint_success(det, code)
     report = Report(
         "approx",
         inputs={"channel": str(args.channel), "k1": args.k1, "k2": args.k2},

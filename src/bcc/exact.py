@@ -51,7 +51,7 @@ class SolveReport:
     enumerated: int
 
 
-def _check_code(w: ChannelTable, code: Code):
+def _check_code(w: ChannelTable | DeterministicChannel, code: Code):
     enc = np.asarray(code.encoder, dtype=int)
     if enc.shape != (code.k1, code.k2):
         raise DimensionMismatchError("encoder shape does not match (k1, k2)")
@@ -72,13 +72,22 @@ def _onehot(assignment, num_parts):
     return out
 
 
-def joint_success(w: ChannelTable, code: Code) -> float:
-    """Probability that both receivers decode a uniform message pair."""
+def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
+    """Probability that both receivers decode a uniform message pair.
+
+    On a deterministic channel this counts the message cells (i1, i2) whose
+    input's output pair both decoders map back to (i1, i2), in
+    O(|X| + k1 k2); no dense table is built.
+    """
     enc = _check_code(w, code)
+    i1, i2 = np.indices((code.k1, code.k2))
+    if isinstance(w, DeterministicChannel):
+        y1, y2 = np.array(w.pairs, dtype=np.intp).reshape(-1, 2)[enc].transpose(2, 0, 1)
+        hits = (np.asarray(code.decoder1)[y1] == i1) & (np.asarray(code.decoder2)[y2] == i2)
+        return float(np.count_nonzero(hits) / (code.k1 * code.k2))
     d1 = _onehot(code.decoder1, code.k1)
     d2 = _onehot(code.decoder2, code.k2)
     cell = np.einsum("yk,xyz,zl->xkl", d1, w.probs, d2)
-    i1, i2 = np.indices((code.k1, code.k2))
     return float(cell[enc, i1, i2].sum() / (code.k1 * code.k2))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from .channels import ChannelTable, DeterministicChannel, validate_channel
 from .errors import BadParametersError
 from .exact import Code
-from .graphs import BipartiteGraph, make_graph
+from .graphs import BipartiteGraph
 from .simplex import LE, LpModel
 
 
@@ -54,8 +54,8 @@ def random_bipartite_graph(left_size: int, right_size: int, edge_prob: float,
         raise BadParametersError("edge_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     mask = rng.random((left_size, right_size)) < edge_prob
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
-    return make_graph(left_size, right_size, edges)
+    # Row-major nonzero lists the edges sorted by (left, right) and distinct.
+    return BipartiteGraph(left_size, right_size, np.nonzero(mask))
 
 
 def random_code(k1: int, k2: int, num_inputs: int, num_outputs1: int,

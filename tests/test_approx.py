@@ -12,7 +12,6 @@ from bcc import (
     DeterministicChannel,
     Partition,
     SideMismatchError,
-    WelfareInstance,
     approximate_detbcc,
     approximate_dqg,
     channel_graph,
@@ -41,9 +40,8 @@ HALF_ONE_MINUS_INV_E_SQ = 0.5 * (1.0 - 1.0 / math.e) ** 2
 BLACKWELL = DeterministicChannel(3, 2, 2, ((0, 0), (0, 1), (1, 1))).to_table()
 
 
-def naive_greedy(instance, order=None):
+def naive_greedy(g, k1, k2, order=None):
     """Reference greedy: recompute every marginal gain at each step."""
-    g, k1, k2 = instance.graph, instance.k1, instance.k2
     order = tuple(range(g.right_size)) if order is None else tuple(order)
 
     def value(mask):
@@ -107,10 +105,10 @@ def test_lazy_greedy_matches_naive():
     for trial in range(10):
         v1, v2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         g = random_bipartite_graph(v1, v2, 0.6, seed=int(rng.integers(10**6)))
-        instance = WelfareInstance(g, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        assert greedy_welfare(instance) == naive_greedy(instance)
+        k1, k2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        assert greedy_welfare(g, k1, k2) == naive_greedy(g, k1, k2)
         order = tuple(int(v) for v in rng.permutation(v2))
-        assert greedy_welfare(instance, order) == naive_greedy(instance, order)
+        assert greedy_welfare(g, k1, k2, order) == naive_greedy(g, k1, k2, order)
 
 
 def test_greedy_matches_naive_at_edges():
@@ -126,11 +124,10 @@ def test_greedy_matches_naive_at_edges():
         (random_bipartite_graph(1, 25, 0.5, seed=4), 2, 5),
     ]
     for g, k1, k2 in cases:
-        instance = WelfareInstance(g, k1, k2)
-        assert greedy_welfare(instance) == naive_greedy(instance)
+        assert greedy_welfare(g, k1, k2) == naive_greedy(g, k1, k2)
         for _ in range(2):
             order = tuple(int(v) for v in rng.permutation(g.right_size))
-            assert greedy_welfare(instance, order) == naive_greedy(instance, order)
+            assert greedy_welfare(g, k1, k2, order) == naive_greedy(g, k1, k2, order)
 
 
 def test_greedy_welfare_half_approximation():
@@ -139,7 +136,7 @@ def test_greedy_welfare_half_approximation():
         v1, v2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         g = random_bipartite_graph(v1, v2, 0.6, seed=int(rng.integers(10**6)))
         k1, k2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
-        p2 = greedy_welfare(WelfareInstance(g, k1, k2))
+        p2 = greedy_welfare(g, k1, k2)
         achieved = upper_bound_right(g, k1, p2)
         optimum = welfare_bruteforce(bundle_value_fn(g, k1), v2, k2)
         assert achieved <= optimum + 1e-12
@@ -239,7 +236,7 @@ def test_approximate_detbcc_consistency():
 def test_parameter_validation():
     g = random_bipartite_graph(2, 2, 1.0, seed=0)
     with pytest.raises(BadParametersError):
-        WelfareInstance(g, 0, 2)
+        greedy_welfare(g, 0, 2)
     with pytest.raises(BadParametersError):
         approximate_dqg(g, 0, 2)
     with pytest.raises(BadParametersError):
@@ -249,6 +246,6 @@ def test_parameter_validation():
     with pytest.raises(BadParametersError):
         derandomize_left(g, 0, singleton_partition(2, 2))
     with pytest.raises(BadParametersError):
-        greedy_welfare(WelfareInstance(g, 2, 2), item_order=(0, 0))
+        greedy_welfare(g, 2, 2, item_order=(0, 0))
     with pytest.raises(SideMismatchError):
         exact_expected_edges(g, 2, singleton_partition(3, 3))

@@ -6,8 +6,10 @@ import pytest
 from bcc import (
     BadParametersError,
     Code,
+    DeterministicChannel,
     DimensionMismatchError,
     EnumerationCapExceededError,
+    Partition,
     SizeCapExceededError,
     channel_graph,
     code_from_partitions,
@@ -60,14 +62,40 @@ def test_success_functions_match_definition():
             success_by_loops(w, code, "sum"), abs=1e-12)
 
 
+def test_joint_success_counts_on_deterministic_channels():
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        nx = int(rng.integers(1, 13))  # often more inputs than message cells
+        n1, n2 = (int(v) for v in rng.integers(1, 6, size=2))
+        k1, k2 = (int(v) for v in rng.integers(1, 8, size=2))  # k = 1 and k > |Y|
+        dc = random_deterministic_channel(nx, n1, n2, seed=int(rng.integers(10**6)))
+        table = dc.to_table()
+        # Partitions with more parts than outputs leave message cells empty.
+        p1 = Partition(n1, k1, tuple(int(v) for v in rng.integers(k1, size=n1)))
+        p2 = Partition(n2, k2, tuple(int(v) for v in rng.integers(k2, size=n2)))
+        for code in (random_code(k1, k2, nx, n1, n2, seed=int(rng.integers(10**6))),
+                     code_from_partitions(dc, p1, p2)):
+            got = joint_success(dc, code)
+            assert got == joint_success(table, code) == success_by_loops(table, code)
+
+
 def test_code_validation_errors():
     w = random_channel(2, 2, 2, seed=0)
-    with pytest.raises(DimensionMismatchError):
-        joint_success(w, Code(2, 2, ((0, 1),), (0, 1), (0, 1)))
-    with pytest.raises(DimensionMismatchError):
-        joint_success(w, Code(2, 2, ((0, 1), (0, 5)), (0, 1), (0, 1)))
-    with pytest.raises(DimensionMismatchError):
-        joint_success(w, Code(2, 2, ((0, 1), (0, 1)), (0,), (0, 1)))
+    dc = DeterministicChannel(2, 2, 2, ((0, 1), (1, 1)))
+    bad_codes = (
+        Code(2, 2, ((0, 1),), (0, 1), (0, 1)),
+        Code(2, 2, ((0, 1), (0, 5)), (0, 1), (0, 1)),
+        Code(2, 2, ((0, 1), (-1, 1)), (0, 1), (0, 1)),
+        Code(2, 2, ((0, 1), (0, 1)), (0,), (0, 1)),
+        Code(2, 2, ((0, 1), (0, 1)), (0, 1), (1, 2)),
+    )
+    for code in bad_codes:
+        messages = set()
+        for channel in (w, dc.to_table(), dc):
+            with pytest.raises(DimensionMismatchError) as info:
+                joint_success(channel, code)
+            messages.add(str(info.value))
+        assert len(messages) == 1
     with pytest.raises(DimensionMismatchError):
         sum_success(w, Code(2, 2, ((0, 1), (0, 1)), (0, 2), (0, 1)))
 
@@ -191,8 +219,6 @@ def test_code_from_partitions_matches_quotient():
 
 
 def test_code_from_partitions_validates_sizes():
-    from bcc import Partition
-
     dc = random_deterministic_channel(3, 2, 2, seed=2)
     with pytest.raises(DimensionMismatchError):
         code_from_partitions(dc, Partition(3, 2, (0, 1, 0)), Partition(2, 2, (0, 1)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,40 @@ def test_cli_approx_requires_deterministic(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
     assert report["quantities"]["S_approx"] == pytest.approx(
         report["quantities"]["approx_value"] / 4)
+
+
+def test_cli_approx_same_report_from_dense_and_deterministic_files(
+        tmp_path, capsys, monkeypatch):
+    dc = random_deterministic_channel(40, 6, 7, seed=5)
+    paths = (write_channel(tmp_path, dc, "det.json"),
+             write_channel(tmp_path, dc.to_table(), "dense.json"))
+
+    def no_dense_table(self):
+        raise AssertionError("bcc approx built a dense table")
+
+    monkeypatch.setattr(DeterministicChannel, "to_table", no_dense_table)
+    reports = []
+    for path in paths:
+        code, out, err = run_cli(capsys, "approx", str(path), "--k1", "3", "--k2", "4",
+                                 "--seed", "2", "--verify")
+        assert (code, err) == (0, "")
+        reports.append(report_from(out))
+        del reports[-1]["inputs"]["channel"]
+    assert reports[0] == reports[1]
+
+
+def test_cli_approx_memory_stays_below_dense_table(tmp_path, capsys):
+    # The dense table of this channel alone would be 200^3 doubles, 64 MB.
+    path = write_channel(tmp_path, random_deterministic_channel(200, 200, 200, seed=3))
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "approx", str(path), "--k1", "8", "--k2", "8",
+                               "--verify")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 16 * 2**20
 
 
 def test_cli_hardness_with_log(tmp_path, capsys):
