@@ -64,15 +64,22 @@ class DeterministicChannel:
     def __post_init__(self):
         if len(self.pairs) != self.input_size:
             raise DimensionMismatchError("need one output pair per input")
-        for x, (y1, y2) in enumerate(self.pairs):
-            if not (0 <= y1 < self.out1_size and 0 <= y2 < self.out2_size):
-                raise ValidationError(f"output pair {self.pairs[x]} of input {x} out of range")
+        x = first_pair_out_of_range(self.pairs, self.out1_size, self.out2_size)
+        if x >= 0:
+            raise ValidationError(f"output pair {self.pairs[x]} of input {x} out of range")
 
     def to_table(self) -> ChannelTable:
         probs = np.zeros((self.input_size, self.out1_size, self.out2_size))
         for x, (y1, y2) in enumerate(self.pairs):
             probs[x, y1, y2] = 1.0
         return validate_channel(probs)
+
+
+def first_pair_out_of_range(pairs, out1_size: int, out2_size: int) -> int:
+    """Lowest input whose (y1, y2) pair leaves the output alphabets, or -1."""
+    # One Python pass: converting the pairs to a numpy array costs more.
+    return next((x for x, (y1, y2) in enumerate(pairs)
+                 if not (0 <= y1 < out1_size and 0 <= y2 < out2_size)), -1)
 
 
 def validate_channel(table, input_size=None, out1_size=None, out2_size=None,

@@ -18,9 +18,15 @@ newline), so save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
-from .channels import ChannelTable, DeterministicChannel, validate_channel
+from .channels import (
+    ChannelTable,
+    DeterministicChannel,
+    first_pair_out_of_range,
+    validate_channel,
+)
 from .errors import ParseError, ToolkitError, ValidationError
 
 FORMAT_VERSION = 1
@@ -77,16 +83,20 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        pairs = []
-        for x, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
-                raise ParseError(f"pair at x={x} must be two integers")
-            y1, y2 = pair
-            if not (0 <= y1 < n1 and 0 <= y2 < n2):
-                raise ValidationError(f"pair at x={x} outside output alphabets")
-            pairs.append((y1, y2))
-        return DeterministicChannel(nx, n1, n2, tuple(pairs))
+        # Fast path: every pair a two-item list of plain ints.  Anything else
+        # (bools, floats, subclasses) gets the exact per-pair check.
+        if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
+                and set(map(type, chain.from_iterable(raw))) <= {int}):
+            for x, pair in enumerate(raw):
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+                    raise ParseError(f"pair at x={x} must be two integers")
+        pairs = tuple(map(tuple, raw))
+        try:
+            return DeterministicChannel(nx, n1, n2, pairs)  # checks the ranges
+        except ValidationError:
+            x = first_pair_out_of_range(pairs, n1, n2)
+            raise ValidationError(f"pair at x={x} outside output alphabets") from None
 
     rows = _require(doc, "rows", list)
     if len(rows) != nx:

@@ -2,7 +2,7 @@
 
 Models are maximization problems over variables with lower bounds (zero by
 default), dense constraint rows, and relations <=, =, >=.  Both numeric modes
-run the same tableau code; the mode decides only three things:
+run the same tableau code; the mode decides only four things:
 
 * the scalar type: float64 arrays, or object arrays of Fractions (inputs
   converted exactly from their binary float representation);
@@ -10,7 +10,13 @@ run the same tableau code; the mode decides only three things:
   or all zero;
 * whether the reduced costs are recomputed from scratch once at an apparent
   optimum before the solver commits (float only, so that incremental drift
-  cannot stop a run early).
+  cannot stop a run early);
+* whether a row update (the pivot, the reduced-cost update) touches only
+  the nonzeros of the pivot row and column (exact only).  The skipped terms
+  are exact zeros, so values, vertices and pivot counts are those of the
+  dense update, and most Fraction products are never formed.  A float pivot
+  stays one dense numpy update: its cost is numpy call overhead, not
+  arithmetic, and gathering the nonzeros would add calls.
 
 Bland's rule (lowest eligible index enters, ratio ties resolved by lowest
 basis index) guarantees termination without cycling.  Exact mode is meant for
@@ -56,11 +62,12 @@ class _NumericMode:
     feas_tol: float
     check_tol: float
     refresh_at_optimum: bool
+    sparse_updates: bool
 
 
 _FLOAT = _NumericMode(float, float, partial(np.array, dtype=float),
-                      PIVOT_TOL, FEAS_TOL, CHECK_TOL, True)
-_EXACT = _NumericMode(Fraction, object, np.frompyfunc(Fraction, 1, 1), 0, 0, 0, False)
+                      PIVOT_TOL, FEAS_TOL, CHECK_TOL, True, False)
+_EXACT = _NumericMode(Fraction, object, np.frompyfunc(Fraction, 1, 1), 0, 0, 0, False, True)
 
 
 @dataclass
@@ -178,21 +185,35 @@ def lp_solve(model: LpModel, exact: bool = False,
 
     def pivot(p: int, q: int):
         nonlocal T
-        piv = T[p, q]
-        T[p] = T[p] / piv
         col = T[:, q].copy()
         col[p] = zero
-        T -= np.outer(col, T[p])
+        if mode.sparse_updates:
+            cols = np.flatnonzero(T[p])
+            T[p, cols] = T[p, cols] / T[p, q]
+            rows = np.flatnonzero(col)
+            T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
+        else:
+            T[p] = T[p] / T[p, q]
+            T -= np.outer(col, T[p])
         T[:, q] = zero
         T[p, q] = one
         basis[p] = q
         T[:, -1] = np.maximum(T[:, -1], zero)
 
+    def subtract_row(r, coef, i: int):
+        """r -= coef * T[i, :ncols], in place."""
+        row = T[i, :ncols]
+        if mode.sparse_updates:
+            cols = np.flatnonzero(row)
+            r[cols] -= coef * row[cols]
+        else:
+            r -= coef * row
+
     def reduced_costs(cost):
         r = cost.copy()
         for i, bi in enumerate(basis):
             if cost[bi] != zero:
-                r = r - cost[bi] * T[i, :ncols]
+                subtract_row(r, cost[bi], i)
         return r
 
     def entering(r) -> int:
@@ -232,7 +253,7 @@ def lp_solve(model: LpModel, exact: bool = False,
             if pivots > max_pivots:
                 raise IterationLimitError(pivots)
             pivot(p, q)
-            r = r - r[q] * T[p, :ncols]
+            subtract_row(r, r[q], p)
             r[q] = zero
 
     if n_art:
@@ -248,9 +269,9 @@ def lp_solve(model: LpModel, exact: bool = False,
             if basis[i] < art_start:
                 keep.append(i)
                 continue
-            q = next((j for j in range(art_start) if abs(T[i, j]) > tol), -1)
-            if q >= 0:
-                pivot(i, q)
+            nonzero = np.flatnonzero(abs(T[i, :art_start]) > tol)
+            if nonzero.size:
+                pivot(i, int(nonzero[0]))
                 keep.append(i)
         if len(keep) < m:
             T = T[keep]

@@ -1,5 +1,7 @@
 """Exact solver tests against definition-level and brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from bcc import (
     random_channel,
     random_code,
     random_deterministic_channel,
+    random_dyadic_channel,
     solve_dqg,
     solve_joint,
     solve_ns,
@@ -252,3 +255,13 @@ def test_ns_dec_reports_encoder_witness():
     assert enc.shape == (2, 2)
     assert len(set(enc.ravel().tolist())) == 4
     assert report.enumerated == 4**4
+
+
+def test_ns_dec_exact_mode_matches_float():
+    w = random_dyadic_channel(2, 2, 2, seed=3)
+    exact = solve_ns_dec(w, 2, 2, "joint", exact=True)
+    approx = solve_ns_dec(w, 2, 2, "joint")
+    assert isinstance(exact.value, Fraction)
+    assert abs(float(exact.value) - approx.value) <= 1e-9
+    assert exact.witness == approx.witness
+    assert exact.enumerated == approx.enumerated == 2**4

@@ -21,6 +21,7 @@ from bcc import (
     dumps_canonical,
     load_channel,
     random_channel,
+    random_dyadic_channel,
     random_deterministic_channel,
     save_channel,
     validate_channel,
@@ -155,6 +156,15 @@ def test_deterministic_doc_errors():
     doc["pairs"] = [[0, 0], [0, 0.5]]
     with pytest.raises(ParseError, match="x=1"):
         channel_from_dict(doc)
+    doc["pairs"] = [[0, 0], [True, 1]]
+    with pytest.raises(ParseError, match="x=1 must be two integers"):
+        channel_from_dict(doc)
+    doc["pairs"] = [[0, 0], [0, 1, 1]]
+    with pytest.raises(ParseError, match="x=1 must be two integers"):
+        channel_from_dict(doc)
+    doc["num_inputs"], doc["pairs"] = 3, [[1, 1], [-1, 0], [0, 10**30]]
+    with pytest.raises(ValidationError, match="pair at x=1 outside output alphabets"):
+        channel_from_dict(doc)
 
 
 def test_alphabet_label_errors():
@@ -227,6 +237,16 @@ def test_cli_exact_mode_reports_rationals(tmp_path, capsys):
     assert code == 0
     q = report_from(out)["quantities"]
     assert q["S_ns_exact"] == "1/4"
+
+
+def test_cli_exact_decoder_box_verifies(tmp_path, capsys):
+    path = write_channel(tmp_path, random_dyadic_channel(2, 2, 2, seed=3))
+    code, out, _ = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                           "--which", "ns-dec", "--exact", "--verify")
+    assert code == 0
+    report = report_from(out)
+    assert report["quantities"]["S_ns_dec"] == pytest.approx(73 / 256, abs=1e-12)
+    assert all(c["passed"] for c in report["checks"])
 
 
 def test_cli_exit_codes(tmp_path, capsys):
