@@ -18,7 +18,6 @@ newline), so save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from pathlib import Path
 
 from .channels import (
@@ -63,6 +62,12 @@ def _check_labels(doc: dict, sizes: dict) -> None:
             raise ValidationError(f"alphabet '{axis}' has duplicate labels")
 
 
+def _check_pair_ranges(pairs, n1: int, n2: int):
+    x = first_pair_out_of_range(pairs, n1, n2)
+    if x >= 0:
+        raise ValidationError(f"pair at x={x} outside output alphabets")
+
+
 def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -83,20 +88,17 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        # Fast path: every pair a two-item list of plain ints.  Anything else
-        # (bools, floats, subclasses) gets the exact per-pair check.
-        if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {2}
-                and set(map(type, chain.from_iterable(raw))) <= {int}):
-            for x, pair in enumerate(raw):
-                if not (isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
-                    raise ParseError(f"pair at x={x} must be two integers")
+        for x, pair in enumerate(raw):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
+                _check_pair_ranges(raw[:x], n1, n2)   # an earlier bad range comes first
+                raise ParseError(f"pair at x={x} must be two integers")
         pairs = tuple(map(tuple, raw))
         try:
             return DeterministicChannel(nx, n1, n2, pairs)  # checks the ranges
         except ValidationError:
-            x = first_pair_out_of_range(pairs, n1, n2)
-            raise ValidationError(f"pair at x={x} outside output alphabets") from None
+            _check_pair_ranges(pairs, n1, n2)
+            raise
 
     rows = _require(doc, "rows", list)
     if len(rows) != nx:

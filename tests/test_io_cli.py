@@ -165,6 +165,13 @@ def test_deterministic_doc_errors():
     doc["num_inputs"], doc["pairs"] = 3, [[1, 1], [-1, 0], [0, 10**30]]
     with pytest.raises(ValidationError, match="pair at x=1 outside output alphabets"):
         channel_from_dict(doc)
+    # Pairs are checked in order, type before range: the first bad x wins.
+    doc["pairs"] = [[0, 1], [0, 5], [0, 0.5]]
+    with pytest.raises(ValidationError, match="pair at x=1 outside output alphabets"):
+        channel_from_dict(doc)
+    doc["pairs"] = [[0, 1], [0, 0.5], [0, 5]]
+    with pytest.raises(ParseError, match="pair at x=1 must be two integers"):
+        channel_from_dict(doc)
 
 
 def test_alphabet_label_errors():
