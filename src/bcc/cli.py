@@ -131,10 +131,14 @@ def _solve_quantities(report: Report, table, det, k1: int, k2: int,
     if "ns-dec" in wanted:
         rep = solve_ns_dec(table, k1, k2, "joint", cap=cap, exact=exact)
         q["S_ns_dec"] = float(rep.value)
+        if exact:
+            q["S_ns_dec_exact"] = str(rep.value)
         report.witnesses["ns_dec_encoder"] = rep.witness
         if "sum" in wanted:
-            q["S_ns_dec_sum"] = float(
-                solve_ns_dec(table, k1, k2, "sum", cap=cap, exact=exact).value)
+            value = solve_ns_dec(table, k1, k2, "sum", cap=cap, exact=exact).value
+            q["S_ns_dec_sum"] = float(value)
+            if exact:
+                q["S_ns_dec_sum_exact"] = str(value)
 
     def have(*names):
         return all(name in q for name in names)

@@ -10,7 +10,8 @@ joins s1 to s2.  A running maximum over inputs gives the best input per
 subset pair; the kernel then enumerates all deterministic decoder pairs
 (k1^|Y1| * k2^|Y2| candidates), each scored with k1*k2 lookups.  The
 decoder-box solver enumerates deterministic encoders instead and solves one
-linear program per encoder.
+linear program per encoder; these share their constraints, so only the
+first pays for the simplex's phase 1.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
@@ -19,7 +20,7 @@ the outer position; ties between inputs resolve to the smallest input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .channels import ChannelTable, DeterministicChannel, marginals
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
 from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
-from .nsprograms import _check_k, build_decoder_box_lp
+from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
 from .simplex import lp_solve
 
 TABLE_ENTRY_CAP = 10**8
@@ -243,6 +244,9 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     For each encoder the box optimum is a linear program; the overall optimum
     over stochastic encoders is attained at a deterministic one because the
     objective is bilinear, so enumerating |X|^(k1 k2) encoders is exhaustive.
+    The programs differ only in their objective: the box program is built
+    once and each encoder swaps in its objective, and lp_solve runs phase 1
+    once for all of them (and for a following call with the other objective).
     """
     _check_k(k1, k2)
     nx = w.input_size
@@ -250,10 +254,12 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     if candidates > cap:
         raise EnumerationCapExceededError(candidates, cap)
 
+    box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
     best_val, best_enc = None, None
     for flat in product(range(nx), repeat=k1 * k2):
         enc = np.asarray(flat, dtype=int).reshape(k1, k2)
-        sol = lp_solve(build_decoder_box_lp(w, enc, k1, k2, objective), exact=exact)
+        model = replace(box, objective=_decoder_box_objective(w, enc, objective))
+        sol = lp_solve(model, exact=exact)
         if best_val is None or sol.value > best_val:
             best_val = sol.value
             best_enc = tuple(tuple(int(v) for v in row) for row in enc)

@@ -214,7 +214,18 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
         *((_rows(n, *_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)), EQ, 0.0)
           for m in (marg_1, marg_2)),
     ])
+    return LpModel(n, _decoder_box_objective(w, enc, objective), rows, rels, rhs)
 
+
+def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str) -> np.ndarray:
+    """Objective of the decoder-box program for a checked (k1, k2) encoder array.
+
+    Only this part of the program depends on the encoder.
+    """
+    k1, k2 = enc.shape
+    n1, n2 = w.out1_size, w.out2_size
+    n = k1 * k2 * n1 * n2
+    v = np.arange(n).reshape(k1, k2, n1, n2)
     c = np.zeros(n)
     sent = w.probs[enc]   # (i1, i2, y1, y2)
     if objective == "joint":
@@ -229,8 +240,7 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
                   (sent / (2 * k1 * k2))[..., None])
     else:
         raise ValidationError(f"unknown objective {objective!r}")
-
-    return LpModel(n, c, rows, rels, rhs)
+    return c
 
 
 @dataclass

@@ -8,15 +8,28 @@ run the same tableau code; the mode decides only four things:
   converted exactly from their binary float representation);
 * the pivot, feasibility and final-check tolerances: 1e-9, 1e-9 and 1e-7,
   or all zero;
-* whether the reduced costs are recomputed from scratch once at an apparent
-  optimum before the solver commits (float only, so that incremental drift
-  cannot stop a run early);
+* whether to guard against float drift (float only): the right-hand side is
+  clipped at zero after each pivot, and the reduced costs are recomputed
+  from scratch once at an apparent optimum before the solver commits, so
+  that incremental drift cannot stop a run early.  In exact arithmetic the
+  ratio test keeps the right-hand side nonnegative and the reduced costs
+  are exact, so neither is needed;
 * whether a row update (the pivot, the reduced-cost update) touches only
   the nonzeros of the pivot row and column (exact only).  The skipped terms
   are exact zeros, so values, vertices and pivot counts are those of the
   dense update, and most Fraction products are never formed.  A float pivot
   stays one dense numpy update: its cost is numpy call overhead, not
   arithmetic, and gathering the nonzeros would add calls.
+
+Phase 1 depends only on the constraints (rows, relations, right-hand side,
+lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
+the state phase 1 ends in (the feasible tableau, its basis and its pivot
+count) for the last constraints it saw, and a following model with the same
+constraints, compared by value, starts phase 2 from a copy of it.  Phase 1
+is deterministic, so values, vertices and pivot counts (which still count
+the whole path from the slack basis) are those of a solve from scratch.
+Families of programs that differ only in their objective, such as the
+decoder-box LPs of all encoders, thus pay for one phase 1.
 
 Bland's rule (lowest eligible index enters, ratio ties resolved by lowest
 basis index) guarantees termination without cycling.  Exact mode is meant for
@@ -61,7 +74,7 @@ class _NumericMode:
     pivot_tol: float
     feas_tol: float
     check_tol: float
-    refresh_at_optimum: bool
+    guard_drift: bool
     sparse_updates: bool
 
 
@@ -130,17 +143,126 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     return gaps.max(initial=worst)
 
 
-def lp_solve(model: LpModel, exact: bool = False,
-             max_pivots: int = DEFAULT_PIVOT_LIMIT) -> LpSolution:
-    """Solve to optimality or raise Infeasible / Unbounded / IterationLimit."""
-    if exact and model.num_vars > EXACT_VAR_CAP:
-        raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
-    mode = _EXACT if exact else _FLOAT
+def _content(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _constraint_key(model: LpModel, exact: bool) -> tuple:
+    """Everything phase 1 depends on: the mode and the constraints, by value."""
+    lb = model.lower_bounds
+    return (exact, _content(model.rows), _content(model.rhs), tuple(model.relations),
+            None if lb is None else _content(lb))
+
+
+class _Tableau:
+    """Rows [A | rhs] of a simplex tableau, its basis, and the pivots taken."""
+
+    def __init__(self, T: np.ndarray, basis: list, mode: _NumericMode, pivots: int,
+                 max_pivots: int):
+        self.T, self.basis, self.mode = T, basis, mode
+        self.pivots, self.max_pivots = pivots, max_pivots
+        self.zero, self.one = mode.scalar(0), mode.scalar(1)
+
+    def pivot(self, p: int, q: int):
+        T, zero = self.T, self.zero
+        col = T[:, q].copy()
+        col[p] = zero
+        if self.mode.sparse_updates:
+            cols = np.flatnonzero(T[p])
+            T[p, cols] = T[p, cols] / T[p, q]
+            rows = np.flatnonzero(col)
+            T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
+        else:
+            T[p] = T[p] / T[p, q]
+            T -= np.outer(col, T[p])
+        T[:, q] = zero
+        T[p, q] = self.one
+        self.basis[p] = q
+        if self.mode.guard_drift:
+            T[:, -1] = np.maximum(T[:, -1], zero)
+
+    def subtract_row(self, r, coef, i: int):
+        """r -= coef * T[i, :-1], in place."""
+        row = self.T[i, :-1]
+        if self.mode.sparse_updates:
+            cols = np.flatnonzero(row)
+            r[cols] -= coef * row[cols]
+        else:
+            r -= coef * row
+
+    def reduced_costs(self, cost):
+        r = cost.copy()
+        for i, bi in enumerate(self.basis):
+            if cost[bi] != self.zero:
+                self.subtract_row(r, cost[bi], i)
+        return r
+
+    def entering(self, r) -> int:
+        """Lowest index with positive reduced cost, or -1 at an optimum."""
+        above = np.flatnonzero(r > self.mode.pivot_tol)
+        return int(above[0]) if above.size else -1
+
+    def leaving(self, q: int) -> int:
+        """Minimum-ratio row; ratio ties go to the lowest basis index."""
+        col = self.T[:, q]
+        rows = np.flatnonzero(col > self.mode.pivot_tol)
+        if not rows.size:
+            return -1
+        ratios = self.T[rows, -1] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        return int(ties[np.argmin(np.asarray(self.basis)[ties])])
+
+    def run_phase(self, cost, phase: int):
+        r = self.reduced_costs(cost)
+        refreshed = False
+        while True:
+            q = self.entering(r)
+            if q < 0:
+                if refreshed or not self.mode.guard_drift:
+                    return
+                r = self.reduced_costs(cost)  # guard against incremental drift
+                refreshed = True
+                continue
+            refreshed = False
+            p = self.leaving(q)
+            if p < 0:
+                if phase == 1:
+                    raise InvariantViolationError("phase-1 objective unbounded")
+                raise UnboundedError("objective is unbounded above")
+            self.pivots += 1
+            if self.pivots > self.max_pivots:
+                raise IterationLimitError(self.pivots)
+            self.pivot(p, q)
+            self.subtract_row(r, r[q], p)
+            r[q] = self.zero
+
+
+@dataclass(frozen=True)
+class _Phase1:
+    """Where phase 1 leaves a model: a feasible basis of its constraints.
+
+    The tableau (read-only) has the artificial columns dropped; lb holds the
+    lower bounds in the mode's scalars, or None.
+    """
+
+    key: tuple
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+    pivots: int
+    lb: np.ndarray | None
+
+
+_last_phase1: _Phase1 | None = None
+"""The latest phase 1; lp_solve starts phase 2 from it when the key matches."""
+
+
+def _phase1(model: LpModel, mode: _NumericMode, key: tuple, max_pivots: int) -> _Phase1:
+    """Build the tableau from the slack basis, run phase 1, drive out artificials."""
     dtype, tol = mode.dtype, mode.pivot_tol
     zero, one = mode.scalar(0), mode.scalar(1)
 
     n = model.num_vars
-    A, b, c = (mode.to_array(a) for a in (model.rows, model.rhs, model.objective))
+    A, b = mode.to_array(model.rows), mode.to_array(model.rhs)
 
     # Shift out nonzero lower bounds: x = lb + x', x' >= 0.
     lb = None if model.lower_bounds is None else mode.to_array(model.lower_bounds)
@@ -181,85 +303,11 @@ def lp_solve(model: LpModel, exact: bool = False,
             basis[i] = art_at
             art_at += 1
 
-    pivots = 0
-
-    def pivot(p: int, q: int):
-        nonlocal T
-        col = T[:, q].copy()
-        col[p] = zero
-        if mode.sparse_updates:
-            cols = np.flatnonzero(T[p])
-            T[p, cols] = T[p, cols] / T[p, q]
-            rows = np.flatnonzero(col)
-            T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
-        else:
-            T[p] = T[p] / T[p, q]
-            T -= np.outer(col, T[p])
-        T[:, q] = zero
-        T[p, q] = one
-        basis[p] = q
-        T[:, -1] = np.maximum(T[:, -1], zero)
-
-    def subtract_row(r, coef, i: int):
-        """r -= coef * T[i, :ncols], in place."""
-        row = T[i, :ncols]
-        if mode.sparse_updates:
-            cols = np.flatnonzero(row)
-            r[cols] -= coef * row[cols]
-        else:
-            r -= coef * row
-
-    def reduced_costs(cost):
-        r = cost.copy()
-        for i, bi in enumerate(basis):
-            if cost[bi] != zero:
-                subtract_row(r, cost[bi], i)
-        return r
-
-    def entering(r) -> int:
-        """Lowest index with positive reduced cost, or -1 at an optimum."""
-        above = np.flatnonzero(r > tol)
-        return int(above[0]) if above.size else -1
-
-    def leaving(q: int) -> int:
-        """Minimum-ratio row; ratio ties go to the lowest basis index."""
-        col = T[:m, q]
-        rows = np.flatnonzero(col > tol)
-        if not rows.size:
-            return -1
-        ratios = T[rows, -1] / col[rows]
-        ties = rows[ratios == ratios.min()]
-        return int(ties[np.argmin(np.asarray(basis)[ties])])
-
-    def run_phase(cost, phase: int):
-        nonlocal pivots
-        r = reduced_costs(cost)
-        refreshed = False
-        while True:
-            q = entering(r)
-            if q < 0:
-                if refreshed or not mode.refresh_at_optimum:
-                    return
-                r = reduced_costs(cost)  # guard against incremental drift
-                refreshed = True
-                continue
-            refreshed = False
-            p = leaving(q)
-            if p < 0:
-                if phase == 1:
-                    raise InvariantViolationError("phase-1 objective unbounded")
-                raise UnboundedError("objective is unbounded above")
-            pivots += 1
-            if pivots > max_pivots:
-                raise IterationLimitError(pivots)
-            pivot(p, q)
-            subtract_row(r, r[q], p)
-            r[q] = zero
-
+    tab = _Tableau(T, basis, mode, 0, max_pivots)
     if n_art:
         cost1 = np.full(ncols, zero, dtype=dtype)
         cost1[art_start:] = -one
-        run_phase(cost1, phase=1)
+        tab.run_phase(cost1, phase=1)
         infeas = sum(T[i, -1] for i in range(m) if basis[i] >= art_start)
         if infeas > mode.feas_tol:
             raise InfeasibleError(f"phase-1 residual {infeas}")
@@ -271,31 +319,55 @@ def lp_solve(model: LpModel, exact: bool = False,
                 continue
             nonzero = np.flatnonzero(abs(T[i, :art_start]) > tol)
             if nonzero.size:
-                pivot(i, int(nonzero[0]))
+                tab.pivot(i, int(nonzero[0]))
                 keep.append(i)
         if len(keep) < m:
             T = T[keep]
             basis = [basis[i] for i in keep]
-            m = len(keep)
     T = np.concatenate([T[:, :art_start], T[:, -1:]], axis=1)
-    ncols = art_start
+    T.flags.writeable = False
+    return _Phase1(key, T, tuple(basis), tab.pivots, lb)
 
-    cost2 = np.full(ncols, zero, dtype=dtype)
+
+def lp_solve(model: LpModel, exact: bool = False,
+             max_pivots: int = DEFAULT_PIVOT_LIMIT) -> LpSolution:
+    """Solve to optimality or raise Infeasible / Unbounded / IterationLimit.
+
+    Phase 1 is skipped when the previous call ran it on the same constraints
+    in the same mode; the result and its pivot count are those of a full solve.
+    """
+    global _last_phase1
+    if exact and model.num_vars > EXACT_VAR_CAP:
+        raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
+    mode = _EXACT if exact else _FLOAT
+    key = _constraint_key(model, exact)
+    start = _last_phase1
+    if start is None or start.key != key:
+        _last_phase1 = None   # so the old tableau is freed before the new one is built
+        start = _last_phase1 = _phase1(model, mode, key, max_pivots)
+    elif start.pivots > max_pivots:
+        raise IterationLimitError(max_pivots + 1)
+
+    n = model.num_vars
+    zero = mode.scalar(0)
+    c = mode.to_array(model.objective)
+    tab = _Tableau(start.tableau.copy(), list(start.basis), mode, start.pivots, max_pivots)
+    cost2 = np.full(tab.T.shape[1] - 1, zero, dtype=mode.dtype)
     cost2[:n] = c
-    run_phase(cost2, phase=2)
+    tab.run_phase(cost2, phase=2)
 
-    x = np.full(n, zero, dtype=dtype)
-    for i, bi in enumerate(basis):
+    x = np.full(n, zero, dtype=mode.dtype)
+    for i, bi in enumerate(tab.basis):
         if bi < n:
-            x[bi] = T[i, -1]
-    if lb is not None:
-        x = x + lb
+            x[bi] = tab.T[i, -1]
+    if start.lb is not None:
+        x = x + start.lb
     value = mode.scalar(sum(ci * xi for ci, xi in zip(c, x)))
 
     violation = constraint_violation(model, x)
     if violation > mode.check_tol:
         raise InvariantViolationError(f"optimal point violates a constraint by {violation}")
-    return LpSolution("optimal", value, x, pivots)
+    return LpSolution("optimal", value, x, tab.pivots)
 
 
 def _fmt(v: float) -> str:

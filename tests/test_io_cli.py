@@ -5,15 +5,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcc.cli
+import bcc.exact
+import bcc.nsprograms
 from bcc import (
+    LE,
     DeterministicChannel,
     InvariantViolationError,
+    LpModel,
     ParseError,
     ValidationError,
     channel_from_dict,
@@ -249,11 +254,30 @@ def test_cli_exact_mode_reports_rationals(tmp_path, capsys):
 def test_cli_exact_decoder_box_verifies(tmp_path, capsys):
     path = write_channel(tmp_path, random_dyadic_channel(2, 2, 2, seed=3))
     code, out, _ = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
-                           "--which", "ns-dec", "--exact", "--verify")
+                           "--which", "ns-dec", "sum", "--exact", "--verify")
     assert code == 0
     report = report_from(out)
-    assert report["quantities"]["S_ns_dec"] == pytest.approx(73 / 256, abs=1e-12)
+    q = report["quantities"]
+    assert q["S_ns_dec"] == pytest.approx(73 / 256, abs=1e-12)
+    assert q["S_ns_dec_exact"] == "73/256"
+    assert float(Fraction(q["S_ns_dec_sum_exact"])) == q["S_ns_dec_sum"]
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_cli_solve_same_bytes_with_warm_and_cold_phase_one(tmp_path, capsys, monkeypatch):
+    paths = [write_channel(tmp_path, random_channel(3, 3, 3, seed=s), f"c{s}.json")
+             for s in (5, 6)]
+    argv = ("--k1", "2", "--k2", "2", "--which", "all", "--verify")
+    warm = [run_cli(capsys, "solve", str(path), *argv) for path in paths]
+    unrelated = LpModel(1, [1.0], [[1.0]], (LE,), [1.0])
+    for module in (bcc.exact, bcc.nsprograms):
+        def cold(model, *args, _solve=module.lp_solve, **kwargs):
+            _solve(unrelated)   # evicts the last phase 1 before every LP
+            return _solve(model, *args, **kwargs)
+        monkeypatch.setattr(module, "lp_solve", cold)
+    cold_runs = [run_cli(capsys, "solve", str(path), *argv) for path in paths]
+    assert warm == cold_runs
+    assert [code for code, _, _ in warm] == [0, 0]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 import io
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+import bcc.simplex
 from bcc import (
     EQ,
     GE,
@@ -17,9 +19,12 @@ from bcc import (
     SizeCapExceededError,
     UnboundedError,
     ValidationError,
+    build_decoder_box_lp,
     constraint_violation,
     lp_solve,
     lp_write_text,
+    random_channel,
+    random_dyadic_channel,
     random_feasible_lp,
 )
 from oracles import lp_vertex_oracle
@@ -212,3 +217,93 @@ def test_lp_write_text_format():
     assert " floor: + 2 p >= -1\n" in text
     assert " p >= 0\n" in text
     assert text.endswith("End\n")
+
+
+UNRELATED = LpModel(1, [1.0], [[1.0]], (LE,), [1.0])
+
+
+def cold_solve(model, **kwargs):
+    """Solve after an unrelated model, so that no phase 1 carries over."""
+    lp_solve(UNRELATED)
+    return lp_solve(model, **kwargs)
+
+
+def bits(sol):
+    """Value, vertex and pivot count, compared bit for bit (exact for Fractions)."""
+    return repr(sol.value), [repr(v) for v in sol.assignment], sol.pivots
+
+
+def mixed_model():
+    # max x + 2y  s.t.  x + y = 2,  y >= 0.5,  x <= 1.5  ->  x=0, y=2; needs phase 1.
+    return LpModel(2, [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+                   (EQ, GE, LE), [2.0, 0.5, 1.5])
+
+
+def decoder_box_models(w):
+    """The decoder-box LP of every encoder, joint objective first, then sum."""
+    return [build_decoder_box_lp(w, np.reshape(enc, (2, 2)), 2, 2, objective)
+            for objective in ("joint", "sum")
+            for enc in product(range(w.input_size), repeat=4)]
+
+
+@pytest.mark.parametrize("w, exact", [(random_channel(3, 3, 3, seed=4), False),
+                                      (random_dyadic_channel(2, 2, 2, seed=5), True)])
+def test_shared_phase_one_matches_cold_solves(w, exact, monkeypatch):
+    models = decoder_box_models(w)
+    cold = [bits(cold_solve(model, exact=exact)) for model in models]
+    phase1_runs = []
+    real_phase1 = bcc.simplex._phase1
+
+    def counted(*args):
+        phase1_runs.append(1)
+        return real_phase1(*args)
+
+    monkeypatch.setattr(bcc.simplex, "_phase1", counted)
+    lp_solve(UNRELATED)
+    warm = [bits(lp_solve(model, exact=exact)) for model in models]
+    assert warm == cold
+    assert len(phase1_runs) == 2   # the unrelated model and the first box LP
+
+
+def test_phase_one_never_reused_across_modes_or_edits():
+    model = mixed_model()
+    for exact in (False, True, False, True, True, False):
+        assert bits(lp_solve(model, exact=exact)) == bits(cold_solve(model, exact=exact))
+    before = bits(lp_solve(model))
+    for edit in ("rows", "rhs"):
+        getattr(model, edit)[0] *= 2.0   # in place: same arrays, new content
+        edited = LpModel(2, model.objective, model.rows.copy(), model.relations,
+                         model.rhs.copy())
+        for exact in (False, True):
+            after = bits(lp_solve(model, exact=exact))
+            assert after == bits(cold_solve(edited, exact=exact))
+        assert after != before
+        before = after
+
+
+def test_shared_phase_one_respects_the_pivot_limit():
+    model = build_decoder_box_lp(random_channel(3, 3, 3, seed=6), [[0, 1], [2, 0]], 2, 2)
+    full = lp_solve(model)
+
+    def outcome(solve, limit):
+        try:
+            return bits(solve(model, max_pivots=limit))
+        except IterationLimitError as exc:
+            return exc.pivots
+
+    for limit in range(full.pivots + 1):
+        lp_solve(model)   # leaves this model's phase 1 behind
+        assert outcome(lp_solve, limit) == outcome(cold_solve, limit)
+    lp_solve(model)
+    assert outcome(lp_solve, 0) == 1
+    assert outcome(lp_solve, full.pivots) == bits(full)
+
+
+def test_infeasible_model_raises_on_every_call():
+    model = LpModel(1, [1.0], [[1.0], [1.0]], (LE, GE), [1.0, 2.0])
+    feasible = LpModel(1, [1.0], [[1.0], [1.0]], (LE, GE), [2.0, 1.0])
+    for exact in (False, True, False):
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                lp_solve(model, exact=exact)
+        assert lp_solve(feasible, exact=exact).value == 2
