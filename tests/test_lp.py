@@ -233,12 +233,6 @@ def bits(sol):
     return repr(sol.value), [repr(v) for v in sol.assignment], sol.pivots
 
 
-def mixed_model():
-    # max x + 2y  s.t.  x + y = 2,  y >= 0.5,  x <= 1.5  ->  x=0, y=2; needs phase 1.
-    return LpModel(2, [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
-                   (EQ, GE, LE), [2.0, 0.5, 1.5])
-
-
 def decoder_box_models(w):
     """The decoder-box LP of every encoder, joint objective first, then sum."""
     return [build_decoder_box_lp(w, np.reshape(enc, (2, 2)), 2, 2, objective)
@@ -266,7 +260,8 @@ def test_shared_phase_one_matches_cold_solves(w, exact, monkeypatch):
 
 
 def test_phase_one_never_reused_across_modes_or_edits():
-    model = mixed_model()
+    model = LpModel(2, [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+                    (EQ, GE, LE), [2.0, 0.5, 1.5])   # needs phase 1
     for exact in (False, True, False, True, True, False):
         assert bits(lp_solve(model, exact=exact)) == bits(cold_solve(model, exact=exact))
     before = bits(lp_solve(model))
