@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import BipartiteGraph, make_graph
+from .graphs import BipartiteGraph, distinct_values
 
 NORMALIZATION_TOL = 1e-9
 POINT_MASS_TOL = 1e-12
@@ -52,34 +52,43 @@ class MarginalTable:
     probs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicChannel:
-    """Channel where input x always produces the output pair pairs[x]."""
+    """Channel where input x always produces the output pair pairs[x] = (y1, y2).
+
+    pairs is copied to a read-only (input_size, 2) np.intp array.  Two channels
+    are equal when their sizes and pairs are."""
 
     input_size: int
     out1_size: int
     out2_size: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) != self.input_size:
+        pairs = np.array(self.pairs)
+        if pairs.shape != (self.input_size, 2):
             raise DimensionMismatchError("need one output pair per input")
-        x = first_pair_out_of_range(self.pairs, self.out1_size, self.out2_size)
-        if x >= 0:
-            raise ValidationError(f"output pair {self.pairs[x]} of input {x} out of range")
+        bad = np.flatnonzero(((pairs < 0) | (pairs >= (self.out1_size, self.out2_size))).any(1))
+        if len(bad):
+            raise ValidationError(
+                f"output pair {tuple(pairs[bad[0]].tolist())} of input {bad[0]} out of range")
+        if pairs.dtype.kind not in "iu":
+            raise ValidationError("output pairs must be integers")
+        pairs = pairs.astype(np.intp, copy=False)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeterministicChannel):
+            return NotImplemented
+        return ((self.input_size, self.out1_size, self.out2_size)
+                == (other.input_size, other.out1_size, other.out2_size)
+                and np.array_equal(self.pairs, other.pairs))
 
     def to_table(self) -> ChannelTable:
         probs = np.zeros((self.input_size, self.out1_size, self.out2_size))
-        for x, (y1, y2) in enumerate(self.pairs):
-            probs[x, y1, y2] = 1.0
+        probs[np.arange(self.input_size), self.pairs[:, 0], self.pairs[:, 1]] = 1.0
         return validate_channel(probs)
-
-
-def first_pair_out_of_range(pairs, out1_size: int, out2_size: int) -> int:
-    """Lowest input whose (y1, y2) pair leaves the output alphabets, or -1."""
-    # One Python pass: converting the pairs to a numpy array costs more.
-    return next((x for x, (y1, y2) in enumerate(pairs)
-                 if not (0 <= y1 < out1_size and 0 <= y2 < out2_size)), -1)
 
 
 def validate_channel(table, input_size=None, out1_size=None, out2_size=None,
@@ -148,18 +157,21 @@ def tensor_power(w: ChannelTable, n: int, cap: int = DEFAULT_ENTRY_CAP) -> Chann
 
 
 def to_deterministic(w: ChannelTable, tol: float = POINT_MASS_TOL) -> DeterministicChannel:
-    """Recover the pair map of a channel whose rows are 0/1 point masses."""
-    pairs = []
-    for x in range(w.input_size):
-        row = w.probs[x]
-        ones = np.argwhere(np.abs(row - 1.0) <= tol)
-        near_zero = np.abs(row) <= tol
-        if len(ones) != 1 or near_zero.sum() != row.size - 1:
-            raise NotDeterministicError(x)
-        pairs.append((int(ones[0][0]), int(ones[0][1])))
-    return DeterministicChannel(w.input_size, w.out1_size, w.out2_size, tuple(pairs))
+    """Recover the pair map of a channel whose rows are 0/1 point masses: one entry
+    within tol of 1, all others within tol of 0.  For tol < 1/2 that is a row whose
+    largest entry is within tol of 1, the only one above tol, and none below -tol."""
+    flat = w.probs.reshape(w.input_size, -1)
+    peak = flat.argmax(axis=1)
+    point_mass = ((np.abs(flat[np.arange(w.input_size), peak] - 1.0) <= tol)
+                  & (np.count_nonzero(flat > tol, axis=1) == 1)
+                  & (flat.min(axis=1) >= -tol))
+    if not point_mass.all():
+        raise NotDeterministicError(int(np.argmin(point_mass)))
+    return DeterministicChannel(w.input_size, w.out1_size, w.out2_size,
+                                np.stack(np.divmod(peak, w.out2_size), axis=1))
 
 
 def channel_graph(dc: DeterministicChannel) -> BipartiteGraph:
     """Bipartite graph on Y1 x Y2 with an edge per reachable output pair."""
-    return make_graph(dc.out1_size, dc.out2_size, dc.pairs)
+    codes = distinct_values(dc.pairs[:, 0] * dc.out2_size + dc.pairs[:, 1])
+    return BipartiteGraph(dc.out1_size, dc.out2_size, np.divmod(codes, dc.out2_size))

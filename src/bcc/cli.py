@@ -8,8 +8,8 @@ turns into exit code 4.
 
 Exit codes: 0 success, 2 bad input, 3 size or enumeration cap exceeded,
 4 failed checks under --verify, 5 internal error (a solver broke one of its
-own invariants; one "internal error:" line goes to stderr).  Relative --out
-and --log paths land in $BCC_WORKDIR when it is set.
+own invariants; one "internal error:" line goes to stderr).  Relative --out,
+--log and --lp-export paths land in $BCC_WORKDIR when it is set.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .approx import approximate_dqg, degree_upper_bound
 from .channels import (
+    DEFAULT_ENTRY_CAP,
     DeterministicChannel,
     NORMALIZATION_TOL,
     channel_graph,
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", parents=[common, solver],
                        help="optima of the n-fold tensor power")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--entry-cap", type=int, default=10**8,
+    p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP,
                    help="abort tensor powers beyond this many entries")
     p.set_defaults(func=cmd_tensor)
 

@@ -83,7 +83,7 @@ def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
     enc = _check_code(w, code)
     i1, i2 = np.indices((code.k1, code.k2))
     if isinstance(w, DeterministicChannel):
-        y1, y2 = np.array(w.pairs, dtype=np.intp).reshape(-1, 2)[enc].transpose(2, 0, 1)
+        y1, y2 = w.pairs[enc].transpose(2, 0, 1)
         hits = (np.asarray(code.decoder1)[y1] == i1) & (np.asarray(code.decoder2)[y2] == i2)
         return float(np.count_nonzero(hits) / (code.k1 * code.k2))
     d1 = _onehot(code.decoder1, code.k1)
@@ -107,9 +107,11 @@ def _subset_sums(mat: np.ndarray) -> np.ndarray:
     """Sum over subsets of the last axis: out[..., s] = sum of mat[..., b] for b in s."""
     nb = mat.shape[-1]
     out = np.zeros(mat.shape[:-1] + (1 << nb,))
-    for s in range(1, 1 << nb):
-        low = s & -s
-        out[..., s] = out[..., s ^ low] + mat[..., low.bit_length() - 1]
+    # Highest bit first: out[t + 2^j] = out[t] + mat[j] for every subset t of
+    # the bits above j, so each sum adds its bits from the highest down.
+    for j in range(nb - 1, -1, -1):
+        step = 2 << j
+        out[..., 1 << j::step] = out[..., ::step] + mat[..., j:j + 1]
     return out
 
 
@@ -276,10 +278,10 @@ def code_from_partitions(dc: DeterministicChannel, p1: Partition, p2: Partition)
     if p1.ground_size != dc.out1_size or p2.ground_size != dc.out2_size:
         raise DimensionMismatchError("partitions must cover the output alphabets")
     k1, k2 = p1.num_parts, p2.num_parts
-    enc = [[ -1 ] * k2 for _ in range(k1)]
-    for x, (y1, y2) in enumerate(dc.pairs):
-        a, b = p1.assignment[y1], p2.assignment[y2]
-        if enc[a][b] < 0:
-            enc[a][b] = x
-    encoder = tuple(tuple(v if v >= 0 else 0 for v in row) for row in enc)
+    cell = (np.asarray(p1.assignment, dtype=np.intp)[dc.pairs[:, 0]] * k2
+            + np.asarray(p2.assignment, dtype=np.intp)[dc.pairs[:, 1]])
+    cells, first = np.unique(cell, return_index=True)   # first = smallest input per cell
+    enc = np.zeros(k1 * k2, dtype=np.intp)
+    enc[cells] = first
+    encoder = tuple(map(tuple, enc.reshape(k1, k2).tolist()))
     return Code(k1, k2, encoder, p1.assignment, p2.assignment)

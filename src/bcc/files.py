@@ -20,12 +20,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .channels import (
-    ChannelTable,
-    DeterministicChannel,
-    first_pair_out_of_range,
-    validate_channel,
-)
+import numpy as np
+
+from .channels import ChannelTable, DeterministicChannel, validate_channel
 from .errors import ParseError, ToolkitError, ValidationError
 
 FORMAT_VERSION = 1
@@ -62,12 +59,6 @@ def _check_labels(doc: dict, sizes: dict) -> None:
             raise ValidationError(f"alphabet '{axis}' has duplicate labels")
 
 
-def _check_pair_ranges(pairs, n1: int, n2: int):
-    x = first_pair_out_of_range(pairs, n1, n2)
-    if x >= 0:
-        raise ValidationError(f"pair at x={x} outside output alphabets")
-
-
 def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -88,17 +79,17 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        for x, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)):
-                _check_pair_ranges(raw[:x], n1, n2)   # an earlier bad range comes first
-                raise ParseError(f"pair at x={x} must be two integers")
-        pairs = tuple(map(tuple, raw))
-        try:
-            return DeterministicChannel(nx, n1, n2, pairs)  # checks the ranges
-        except ValidationError:
-            _check_pair_ranges(pairs, n1, n2)
-            raise
+        typed = next((x for x, pair in enumerate(raw)   # type() is int rejects bool
+                      if not (isinstance(pair, list) and len(pair) == 2
+                              and all(type(v) is int for v in pair))), nx)
+        # Integers beyond int64 make an object or float array; both compare.
+        pairs = np.array(raw[:typed]).reshape(typed, 2)
+        bad = ((pairs < 0) | (pairs >= (n1, n2))).any(axis=1)
+        if bad.any():   # an earlier bad range comes before a bad type
+            raise ValidationError(f"pair at x={int(np.argmax(bad))} outside output alphabets")
+        if typed < nx:
+            raise ParseError(f"pair at x={typed} must be two integers")
+        return DeterministicChannel(nx, n1, n2, pairs)
 
     rows = _require(doc, "rows", list)
     if len(rows) != nx:
@@ -125,25 +116,13 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
 def channel_to_dict(channel: ChannelTable | DeterministicChannel,
                     alphabets: dict | None = None) -> dict:
     if isinstance(channel, DeterministicChannel):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "deterministic",
-            "num_inputs": channel.input_size,
-            "num_outputs1": channel.out1_size,
-            "num_outputs2": channel.out2_size,
-            "pairs": [[y1, y2] for y1, y2 in channel.pairs],
-        }
+        kind, body = "deterministic", {"pairs": channel.pairs.tolist()}
     elif isinstance(channel, ChannelTable):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "dense",
-            "num_inputs": channel.input_size,
-            "num_outputs1": channel.out1_size,
-            "num_outputs2": channel.out2_size,
-            "rows": [[[float(v) for v in s] for s in row] for row in channel.probs],
-        }
+        kind, body = "dense", {"rows": np.asarray(channel.probs, dtype=float).tolist()}
     else:
         raise ValidationError(f"cannot serialize {type(channel).__name__}")
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "num_inputs": channel.input_size,
+           "num_outputs1": channel.out1_size, "num_outputs2": channel.out2_size, **body}
     if alphabets is not None:
         doc["alphabets"] = alphabets
     return doc

@@ -43,9 +43,8 @@ def random_deterministic_channel(num_inputs: int, num_outputs1: int,
     rng = np.random.default_rng(seed)
     ys1 = rng.integers(num_outputs1, size=num_inputs)
     ys2 = rng.integers(num_outputs2, size=num_inputs)
-    return DeterministicChannel(
-        num_inputs, num_outputs1, num_outputs2,
-        tuple((int(a), int(b)) for a, b in zip(ys1, ys2)))
+    return DeterministicChannel(num_inputs, num_outputs1, num_outputs2,
+                                np.stack([ys1, ys2], axis=1))
 
 
 def random_bipartite_graph(left_size: int, right_size: int, edge_prob: float,

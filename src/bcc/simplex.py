@@ -132,12 +132,16 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     An object array x (of Fractions) is checked in exact arithmetic.
     """
     x = np.asarray(x)
-    rows, rhs, worst = model.rows, model.rhs, 0.0
+    rhs, worst = model.rhs, 0.0
     lb = np.zeros(model.num_vars) if model.lower_bounds is None else model.lower_bounds
     if x.dtype == object:
-        rows, rhs, lb = _EXACT.to_array(rows), _EXACT.to_array(rhs), _EXACT.to_array(lb)
-        worst = Fraction(0)
-    gap = rows @ x - rhs
+        # Only nonzero coefficients become Fractions; zero terms add exactly 0.
+        rhs, lb, worst = _EXACT.to_array(rhs), _EXACT.to_array(lb), Fraction(0)
+        i, j = np.nonzero(model.rows)
+        gap = -rhs
+        np.add.at(gap, i, _EXACT.to_array(model.rows[i, j]) * x[j])
+    else:
+        gap = model.rows @ x - rhs
     rel = np.asarray(model.relations)
     gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), lb - x])
     return gaps.max(initial=worst)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcc.channels import (
+    ChannelTable,
     DeterministicChannel,
     channel_graph,
     marginals,
@@ -18,7 +19,7 @@ from bcc.errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from bcc.generators import random_channel
+from bcc.generators import random_channel, random_deterministic_channel
 
 
 def test_validate_accepts_and_freezes():
@@ -129,8 +130,56 @@ def test_to_deterministic_rejects_noise_naming_input():
     assert "x=1" in str(err.value)
 
 
+def test_deterministic_channel_copies_and_freezes_pairs():
+    source = np.array([[0, 1], [1, 1], [0, 1]])
+    dc = DeterministicChannel(3, 2, 2, source)
+    source[0] = (1, 0)
+    assert dc.pairs.tolist() == [[0, 1], [1, 1], [0, 1]]
+    assert dc.pairs.dtype == np.intp and not dc.pairs.flags.writeable
+    with pytest.raises(ValueError):
+        dc.pairs[0, 0] = 1
+    assert dc == DeterministicChannel(3, 2, 2, ((0, 1), (1, 1), (0, 1)))
+    assert dc != DeterministicChannel(3, 2, 2, ((0, 1), (1, 1), (1, 1)))
+    assert dc != DeterministicChannel(3, 2, 3, ((0, 1), (1, 1), (0, 1)))
+
+
+def _to_deterministic_by_rows(w, tol=1e-12):
+    """Per-row reference: one entry within tol of 1, all others within tol of 0."""
+    pairs = []
+    for x in range(w.input_size):
+        ones = np.argwhere(np.abs(w.probs[x] - 1.0) <= tol)
+        if len(ones) != 1 or np.count_nonzero(np.abs(w.probs[x]) <= tol) != w.probs[x].size - 1:
+            raise NotDeterministicError(x)
+        pairs.append(tuple(ones[0].tolist()))
+    return DeterministicChannel(w.input_size, w.out1_size, w.out2_size, tuple(pairs))
+
+
+def test_to_deterministic_matches_row_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        nx, n1, n2 = (int(v) for v in rng.integers(1, 7, size=3))
+        dc = random_deterministic_channel(nx, n1, n2, seed=trial)
+        table = dc.to_table()
+        assert to_deterministic(table) == _to_deterministic_by_rows(table) == dc
+        # Perturb two rows; the error names the first one that stops being a point mass.
+        probs = table.probs.copy()
+        for x in rng.choice(nx, size=min(2, nx), replace=False):
+            probs[x].flat[int(rng.integers(n1 * n2))] += rng.choice([1e-13, 1e-11, -1e-11, 0.5])
+        noisy = ChannelTable(nx, n1, n2, probs)
+        try:
+            expect = _to_deterministic_by_rows(noisy)
+        except NotDeterministicError as err:
+            with pytest.raises(NotDeterministicError) as got:
+                to_deterministic(noisy)
+            assert str(got.value) == str(err)
+        else:
+            assert to_deterministic(noisy) == expect
+
+
 def test_deterministic_channel_validates_pairs():
     with pytest.raises(ValidationError):
         DeterministicChannel(1, 2, 2, ((0, 5),))
     with pytest.raises(DimensionMismatchError):
         DeterministicChannel(2, 2, 2, ((0, 0),))
+    with pytest.raises(ValidationError, match="integers"):
+        DeterministicChannel(1, 2, 2, ((0.5, 1),))

@@ -76,8 +76,18 @@ def test_joint_success_counts_on_deterministic_channels():
         # Partitions with more parts than outputs leave message cells empty.
         p1 = Partition(n1, k1, tuple(int(v) for v in rng.integers(k1, size=n1)))
         p2 = Partition(n2, k2, tuple(int(v) for v in rng.integers(k2, size=n2)))
-        for code in (random_code(k1, k2, nx, n1, n2, seed=int(rng.integers(10**6))),
-                     code_from_partitions(dc, p1, p2)):
+        derived = code_from_partitions(dc, p1, p2)
+        # Loop reference: the smallest input per message cell, 0 for an empty cell.
+        encoder = [[None] * k2 for _ in range(k1)]
+        for x, (y1, y2) in enumerate(dc.pairs.tolist()):
+            a, b = p1.assignment[y1], p2.assignment[y2]
+            if encoder[a][b] is None:
+                encoder[a][b] = x
+        assert derived == Code(k1, k2, tuple(tuple(0 if v is None else v for v in row)
+                                             for row in encoder),
+                               p1.assignment, p2.assignment)
+        assert all(type(v) is int for row in derived.encoder for v in row)
+        for code in (random_code(k1, k2, nx, n1, n2, seed=int(rng.integers(10**6))), derived):
             got = joint_success(dc, code)
             assert got == joint_success(table, code) == success_by_loops(table, code)
 
