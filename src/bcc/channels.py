@@ -86,9 +86,11 @@ class DeterministicChannel:
                 and np.array_equal(self.pairs, other.pairs))
 
     def to_table(self) -> ChannelTable:
+        """The dense 0/1 table.  The pairs are checked, so its rows need no validation."""
         probs = np.zeros((self.input_size, self.out1_size, self.out2_size))
         probs[np.arange(self.input_size), self.pairs[:, 0], self.pairs[:, 1]] = 1.0
-        return validate_channel(probs)
+        probs.flags.writeable = False
+        return ChannelTable(self.input_size, self.out1_size, self.out2_size, probs)
 
 
 def validate_channel(table, input_size=None, out1_size=None, out2_size=None,

@@ -6,10 +6,12 @@ value-query experiments), tensor (solve a tensor power).  Every command
 emits one canonical JSON report; with --verify a failed inequality check
 turns into exit code 4.
 
-Exit codes: 0 success, 2 bad input, 3 size or enumeration cap exceeded,
-4 failed checks under --verify, 5 internal error (a solver broke one of its
-own invariants; one "internal error:" line goes to stderr).  Relative --out,
---log and --lp-export paths land in $BCC_WORKDIR when it is set.
+Exit codes: 0 success, 2 bad input, 3 size, enumeration or pivot cap
+exceeded, 4 failed checks under --verify, 5 internal error (a solver broke
+one of its own invariants; one "internal error:" line goes to stderr).  The
+toolkit only builds feasible, bounded programs, so an infeasible or
+unbounded one is an internal error too.  Relative --out, --log and
+--lp-export paths land in $BCC_WORKDIR when it is set.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ from .channels import (
 )
 from .errors import (
     EnumerationCapExceededError,
+    InfeasibleError,
     InvariantViolationError,
+    IterationLimitError,
     NotDeterministicError,
     SizeCapExceededError,
     ToolkitError,
+    UnboundedError,
     ValidationError,
 )
 from .exact import (
@@ -386,10 +391,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (SizeCapExceededError, EnumerationCapExceededError) as exc:
+    except (SizeCapExceededError, EnumerationCapExceededError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, InfeasibleError, UnboundedError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ToolkitError as exc:

@@ -81,7 +81,7 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
         typed = next((x for x, pair in enumerate(raw)   # type() is int rejects bool
                       if not (isinstance(pair, list) and len(pair) == 2
-                              and all(type(v) is int for v in pair))), nx)
+                              and type(pair[0]) is int and type(pair[1]) is int)), nx)
         # Integers beyond int64 make an object or float array; both compare.
         pairs = np.array(raw[:typed]).reshape(typed, 2)
         bad = ((pairs < 0) | (pairs >= (n1, n2))).any(axis=1)

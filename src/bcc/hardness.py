@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChannelTable, validate_channel
-from .errors import BadParametersError, EnumerationCapExceededError, SizeCapExceededError
+from .errors import BadParametersError, SizeCapExceededError
+from .graphs import enumerate_partitions
 
 DEFAULT_DELTA = 0.25
 PLANTED, FLAT = "planted", "flat"
@@ -147,25 +148,8 @@ def optimal_welfare(inst: HardnessInstance, which: str = PLANTED,
         return (k1 - 1) * m ** (2.0 * d) + (m - k1 + 1) * m ** (d - 0.5)
     if method != "exhaustive":
         raise BadParametersError("method must be 'closed_form' or 'exhaustive'")
-    total = k1**m
-    if total > cap:
-        raise EnumerationCapExceededError(total, cap)
-    best = 0.0
-    bundles = [[] for _ in range(k1)]
-    assignment = [0] * m
-
-    def rec(i: int):
-        nonlocal best
-        if i == m:
-            best = max(best, sum(value_oracle(inst, which, b) for b in bundles))
-            return
-        for part in range(k1):
-            bundles[part].append(i)
-            rec(i + 1)
-            bundles[part].pop()
-
-    rec(0)
-    return best
+    return max(sum(value_oracle(inst, which, p.part(j)) for j in range(k1))
+               for p in enumerate_partitions(m, k1, cap))
 
 
 def welfare_gap(inst: HardnessInstance) -> float:

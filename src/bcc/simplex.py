@@ -1,25 +1,12 @@
 """Dense linear programming: two-phase primal simplex with Bland's rule.
 
 Models are maximization problems over variables with lower bounds (zero by
-default), dense constraint rows, and relations <=, =, >=.  Both numeric modes
-run the same tableau code; the mode decides only four things:
-
-* the scalar type: float64 arrays, or object arrays of Fractions (inputs
-  converted exactly from their binary float representation);
-* the pivot, feasibility and final-check tolerances: 1e-9, 1e-9 and 1e-7,
-  or all zero;
-* whether to guard against float drift (float only): the right-hand side is
-  clipped at zero after each pivot, and the reduced costs are recomputed
-  from scratch once at an apparent optimum before the solver commits, so
-  that incremental drift cannot stop a run early.  In exact arithmetic the
-  ratio test keeps the right-hand side nonnegative and the reduced costs
-  are exact, so neither is needed;
-* whether a row update (the pivot, the reduced-cost update) touches only
-  the nonzeros of the pivot row and column (exact only).  The skipped terms
-  are exact zeros, so values, vertices and pivot counts are those of the
-  dense update, and most Fraction products are never formed.  A float pivot
-  stays one dense numpy update: its cost is numpy call overhead, not
-  arithmetic, and gathering the nonzeros would add calls.
+default), dense constraint rows, and relations <=, =, >=.  lp_solve picks one
+tableau class per solve, and everything that differs between the numeric
+modes lives in it: _Tableau works in float64 with small tolerances and
+guards against drift, _ExactTableau works in Fractions (inputs converted
+exactly from their binary float representation) with zero tolerances and
+updates only nonzeros.  Phase 1, Bland's rule and the ratio test are shared.
 
 Phase 1 depends only on the constraints (rows, relations, right-hand side,
 lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
@@ -38,7 +25,6 @@ small certificates and is capped at EXACT_VAR_CAP variables.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -63,24 +49,7 @@ CHECK_TOL = 1e-7
 DEFAULT_PIVOT_LIMIT = 10**6
 EXACT_VAR_CAP = 200
 
-
-@dataclass(frozen=True)
-class _NumericMode:
-    """All that differs between float and exact solves; the tableau code is shared."""
-
-    scalar: type
-    dtype: type
-    to_array: Callable  # float array -> array of scalars, exact for Fractions
-    pivot_tol: float
-    feas_tol: float
-    check_tol: float
-    guard_drift: bool
-    sparse_updates: bool
-
-
-_FLOAT = _NumericMode(float, float, partial(np.array, dtype=float),
-                      PIVOT_TOL, FEAS_TOL, CHECK_TOL, True, False)
-_EXACT = _NumericMode(Fraction, object, np.frompyfunc(Fraction, 1, 1), 0, 0, 0, False, True)
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 @dataclass
@@ -136,10 +105,10 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     lb = np.zeros(model.num_vars) if model.lower_bounds is None else model.lower_bounds
     if x.dtype == object:
         # Only nonzero coefficients become Fractions; zero terms add exactly 0.
-        rhs, lb, worst = _EXACT.to_array(rhs), _EXACT.to_array(lb), Fraction(0)
+        rhs, lb, worst = _to_fraction(rhs), _to_fraction(lb), Fraction(0)
         i, j = np.nonzero(model.rows)
         gap = -rhs
-        np.add.at(gap, i, _EXACT.to_array(model.rows[i, j]) * x[j])
+        np.add.at(gap, i, _to_fraction(model.rows[i, j]) * x[j])
     else:
         gap = model.rows @ x - rhs
     rel = np.asarray(model.relations)
@@ -159,75 +128,76 @@ def _constraint_key(model: LpModel, exact: bool) -> tuple:
 
 
 class _Tableau:
-    """Rows [A | rhs] of a simplex tableau, its basis, and the pivots taken."""
+    """Float tableau: rows [A | rhs] in float64, the basis, and the pivots taken.
 
-    def __init__(self, T: np.ndarray, basis: list, mode: _NumericMode, pivots: int,
-                 max_pivots: int):
-        self.T, self.basis, self.mode = T, basis, mode
+    A pivot is one dense numpy update: its cost is numpy call overhead, not
+    arithmetic, and gathering the nonzeros would add calls.  Against float
+    drift the right-hand side is clipped at zero after each pivot.
+    """
+
+    scalar, dtype, zero, one = float, float, 0.0, 1.0
+    to_array = partial(np.array, dtype=float)
+    pivot_tol, feas_tol, check_tol = PIVOT_TOL, FEAS_TOL, CHECK_TOL
+
+    def __init__(self, T: np.ndarray, basis: np.ndarray, pivots: int, max_pivots: int):
+        self.T, self.basis = T, basis
         self.pivots, self.max_pivots = pivots, max_pivots
-        self.zero, self.one = mode.scalar(0), mode.scalar(1)
 
     def pivot(self, p: int, q: int):
-        T, zero = self.T, self.zero
+        T = self.T
         col = T[:, q].copy()
-        col[p] = zero
-        if self.mode.sparse_updates:
-            cols = np.flatnonzero(T[p])
-            T[p, cols] = T[p, cols] / T[p, q]
-            rows = np.flatnonzero(col)
-            T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
-        else:
-            T[p] = T[p] / T[p, q]
-            T -= np.outer(col, T[p])
-        T[:, q] = zero
-        T[p, q] = self.one
+        col[p] = 0.0
+        T[p] = T[p] / T[p, q]
+        T -= np.outer(col, T[p])
+        T[:, q] = 0.0
+        T[p, q] = 1.0
         self.basis[p] = q
-        if self.mode.guard_drift:
-            T[:, -1] = np.maximum(T[:, -1], zero)
+        T[:, -1] = np.maximum(T[:, -1], 0.0)
 
     def subtract_row(self, r, coef, i: int):
         """r -= coef * T[i, :-1], in place."""
-        row = self.T[i, :-1]
-        if self.mode.sparse_updates:
-            cols = np.flatnonzero(row)
-            r[cols] -= coef * row[cols]
-        else:
-            r -= coef * row
+        r -= coef * self.T[i, :-1]
 
     def reduced_costs(self, cost):
         r = cost.copy()
-        for i, bi in enumerate(self.basis):
-            if cost[bi] != self.zero:
-                self.subtract_row(r, cost[bi], i)
+        basic_cost = cost[self.basis]
+        for i in np.flatnonzero(basic_cost != self.zero):
+            self.subtract_row(r, basic_cost[i], i)
         return r
 
     def entering(self, r) -> int:
         """Lowest index with positive reduced cost, or -1 at an optimum."""
-        above = np.flatnonzero(r > self.mode.pivot_tol)
+        above = np.flatnonzero(r > self.pivot_tol)
         return int(above[0]) if above.size else -1
 
     def leaving(self, q: int) -> int:
         """Minimum-ratio row; ratio ties go to the lowest basis index."""
         col = self.T[:, q]
-        rows = np.flatnonzero(col > self.mode.pivot_tol)
+        rows = np.flatnonzero(col > self.pivot_tol)
         if not rows.size:
             return -1
         ratios = self.T[rows, -1] / col[rows]
         ties = rows[ratios == ratios.min()]
-        return int(ties[np.argmin(np.asarray(self.basis)[ties])])
+        return int(ties[np.argmin(self.basis[ties])])
 
     def run_phase(self, cost, phase: int):
+        """Pivot to an optimum of cost.
+
+        At an apparent optimum the reduced costs are recomputed from scratch
+        once, so that float drift cannot stop a run early.  In exact
+        arithmetic they come out equal, and no pivot changes.
+        """
         r = self.reduced_costs(cost)
-        refreshed = False
+        fresh = True
         while True:
             q = self.entering(r)
             if q < 0:
-                if refreshed or not self.mode.guard_drift:
+                if fresh:
                     return
-                r = self.reduced_costs(cost)  # guard against incremental drift
-                refreshed = True
+                r = self.reduced_costs(cost)
+                fresh = True
                 continue
-            refreshed = False
+            fresh = False
             p = self.leaving(q)
             if p < 0:
                 if phase == 1:
@@ -241,17 +211,50 @@ class _Tableau:
             r[q] = self.zero
 
 
+class _ExactTableau(_Tableau):
+    """Exact tableau: object arrays of Fractions and zero tolerances.
+
+    A row update (the pivot, the reduced-cost update) touches only the
+    nonzeros of the pivot row and column.  The skipped terms are exact
+    zeros, so values, vertices and pivot counts are those of the dense
+    update, and most Fraction products are never formed.  The ratio test
+    keeps the right-hand side nonnegative, so nothing is clipped.
+    """
+
+    scalar, dtype, zero, one = Fraction, object, Fraction(0), Fraction(1)
+    to_array = _to_fraction
+    pivot_tol = feas_tol = check_tol = 0
+
+    def pivot(self, p: int, q: int):
+        T = self.T
+        col = T[:, q].copy()
+        col[p] = self.zero
+        cols = np.flatnonzero(T[p])
+        T[p, cols] = T[p, cols] / T[p, q]
+        rows = np.flatnonzero(col)
+        T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
+        T[:, q] = self.zero
+        T[p, q] = self.one
+        self.basis[p] = q
+
+    def subtract_row(self, r, coef, i: int):
+        row = self.T[i, :-1]
+        cols = np.flatnonzero(row)
+        r[cols] -= coef * row[cols]
+
+
 @dataclass(frozen=True)
 class _Phase1:
     """Where phase 1 leaves a model: a feasible basis of its constraints.
 
-    The tableau (read-only) has the artificial columns dropped; lb holds the
-    lower bounds in the mode's scalars, or None.
+    The tableau and the basis (read-only) have the artificial columns and
+    the redundant rows dropped; lb holds the lower bounds in the mode's
+    scalars, or None.
     """
 
     key: tuple
     tableau: np.ndarray
-    basis: tuple[int, ...]
+    basis: np.ndarray
     pivots: int
     lb: np.ndarray | None
 
@@ -260,77 +263,60 @@ _last_phase1: _Phase1 | None = None
 """The latest phase 1; lp_solve starts phase 2 from it when the key matches."""
 
 
-def _phase1(model: LpModel, mode: _NumericMode, key: tuple, max_pivots: int) -> _Phase1:
+def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
+            max_pivots: int) -> _Phase1:
     """Build the tableau from the slack basis, run phase 1, drive out artificials."""
-    dtype, tol = mode.dtype, mode.pivot_tol
-    zero, one = mode.scalar(0), mode.scalar(1)
-
-    n = model.num_vars
-    A, b = mode.to_array(model.rows), mode.to_array(model.rhs)
+    zero, one = tableau_cls.zero, tableau_cls.one
+    n, m = model.num_vars, model.num_rows
+    A, b = tableau_cls.to_array(model.rows), tableau_cls.to_array(model.rhs)
 
     # Shift out nonzero lower bounds: x = lb + x', x' >= 0.
-    lb = None if model.lower_bounds is None else mode.to_array(model.lower_bounds)
+    lb = None if model.lower_bounds is None else tableau_cls.to_array(model.lower_bounds)
     if lb is not None:
         b = b - A @ lb
 
-    relations = list(model.relations)
-    for i in range(len(b)):
-        if b[i] < zero:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            relations[i] = {LE: GE, GE: LE, EQ: EQ}[relations[i]]
+    # Negate the rows with b < 0, which swaps their <= and >=.
+    rel = np.asarray(model.relations)
+    flip = b < zero
+    A[flip], b[flip] = -A[flip], -b[flip]
+    le = np.where(flip, rel == GE, rel == LE)
+    slack_rows, art_rows = np.flatnonzero(rel != EQ), np.flatnonzero(~le)
 
-    m = len(b)
-    n_slack = sum(1 for r in relations if r != EQ)
-    n_art = sum(1 for r in relations if r != LE)
-    ncols = n + n_slack + n_art
-    T = np.full((m, ncols + 1), zero, dtype=dtype)
+    # A slack column for every row but the = rows, an artificial column for
+    # every row but the <= rows, both in row order.  An artificial is basic
+    # where there is one, otherwise the slack.
+    art_start = n + slack_rows.size
+    ncols = art_start + art_rows.size
+    slack_cols, art_cols = np.arange(n, art_start), np.arange(art_start, ncols)
+    T = np.full((m, ncols + 1), zero, dtype=tableau_cls.dtype)
     T[:, :n] = A
     T[:, -1] = b
+    T[slack_rows, slack_cols] = np.where(le[slack_rows], one, -one)
+    T[art_rows, art_cols] = one
+    basis = np.zeros(m, dtype=np.intp)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
-    basis = [0] * m
-    slack_at, art_at = n, n + n_slack
-    art_start = n + n_slack
-    for i, rel in enumerate(relations):
-        if rel == LE:
-            T[i, slack_at] = one
-            basis[i] = slack_at
-            slack_at += 1
-        elif rel == GE:
-            T[i, slack_at] = -one
-            slack_at += 1
-            T[i, art_at] = one
-            basis[i] = art_at
-            art_at += 1
-        else:
-            T[i, art_at] = one
-            basis[i] = art_at
-            art_at += 1
-
-    tab = _Tableau(T, basis, mode, 0, max_pivots)
-    if n_art:
-        cost1 = np.full(ncols, zero, dtype=dtype)
+    tab = tableau_cls(T, basis, 0, max_pivots)
+    kept = np.ones(m, dtype=bool)
+    if art_rows.size:
+        cost1 = np.full(ncols, zero, dtype=tableau_cls.dtype)
         cost1[art_start:] = -one
         tab.run_phase(cost1, phase=1)
-        infeas = sum(T[i, -1] for i in range(m) if basis[i] >= art_start)
-        if infeas > mode.feas_tol:
+        infeas = sum(T[basis >= art_start, -1])
+        if infeas > tableau_cls.feas_tol:
             raise InfeasibleError(f"phase-1 residual {infeas}")
         # Pivot surviving artificials out, dropping redundant rows.
-        keep = []
-        for i in range(m):
-            if basis[i] < art_start:
-                keep.append(i)
-                continue
-            nonzero = np.flatnonzero(abs(T[i, :art_start]) > tol)
+        for i in np.flatnonzero(basis >= art_start):
+            nonzero = np.flatnonzero(abs(T[i, :art_start]) > tableau_cls.pivot_tol)
             if nonzero.size:
                 tab.pivot(i, int(nonzero[0]))
-                keep.append(i)
-        if len(keep) < m:
-            T = T[keep]
-            basis = [basis[i] for i in keep]
-    T = np.concatenate([T[:, :art_start], T[:, -1:]], axis=1)
-    T.flags.writeable = False
-    return _Phase1(key, T, tuple(basis), tab.pivots, lb)
+            else:
+                kept[i] = False
+    T = T[np.ix_(kept, np.r_[:art_start, ncols])]
+    basis = basis[kept]
+    T.flags.writeable = basis.flags.writeable = False
+    return _Phase1(key, T, basis, tab.pivots, lb)
 
 
 def lp_solve(model: LpModel, exact: bool = False,
@@ -343,33 +329,31 @@ def lp_solve(model: LpModel, exact: bool = False,
     global _last_phase1
     if exact and model.num_vars > EXACT_VAR_CAP:
         raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
-    mode = _EXACT if exact else _FLOAT
+    tableau_cls = _ExactTableau if exact else _Tableau
     key = _constraint_key(model, exact)
     start = _last_phase1
     if start is None or start.key != key:
         _last_phase1 = None   # so the old tableau is freed before the new one is built
-        start = _last_phase1 = _phase1(model, mode, key, max_pivots)
+        start = _last_phase1 = _phase1(model, tableau_cls, key, max_pivots)
     elif start.pivots > max_pivots:
         raise IterationLimitError(max_pivots + 1)
 
-    n = model.num_vars
-    zero = mode.scalar(0)
-    c = mode.to_array(model.objective)
-    tab = _Tableau(start.tableau.copy(), list(start.basis), mode, start.pivots, max_pivots)
-    cost2 = np.full(tab.T.shape[1] - 1, zero, dtype=mode.dtype)
+    n, zero, dtype = model.num_vars, tableau_cls.zero, tableau_cls.dtype
+    c = tableau_cls.to_array(model.objective)
+    tab = tableau_cls(start.tableau.copy(), start.basis.copy(), start.pivots, max_pivots)
+    cost2 = np.full(tab.T.shape[1] - 1, zero, dtype=dtype)
     cost2[:n] = c
     tab.run_phase(cost2, phase=2)
 
-    x = np.full(n, zero, dtype=mode.dtype)
-    for i, bi in enumerate(tab.basis):
-        if bi < n:
-            x[bi] = tab.T[i, -1]
+    x = np.full(n, zero, dtype=dtype)
+    structural = tab.basis < n
+    x[tab.basis[structural]] = tab.T[structural, -1]
     if start.lb is not None:
         x = x + start.lb
-    value = mode.scalar(sum(ci * xi for ci, xi in zip(c, x)))
+    value = tableau_cls.scalar(sum(ci * xi for ci, xi in zip(c, x)))
 
     violation = constraint_violation(model, x)
-    if violation > mode.check_tol:
+    if violation > tableau_cls.check_tol:
         raise InvariantViolationError(f"optimal point violates a constraint by {violation}")
     return LpSolution("optimal", value, x, tab.pivots)
 

@@ -143,6 +143,24 @@ def test_deterministic_channel_copies_and_freezes_pairs():
     assert dc != DeterministicChannel(3, 2, 3, ((0, 1), (1, 1), (0, 1)))
 
 
+def test_deterministic_to_table_matches_validated_table():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        nx, n1, n2 = (int(v) for v in rng.integers(1, 7, size=3))
+        dc = random_deterministic_channel(nx, n1, n2, seed=trial)
+        probs = np.zeros((nx, n1, n2))
+        for x, (y1, y2) in enumerate(dc.pairs.tolist()):
+            probs[x, y1, y2] = 1.0
+        expect = validate_channel(probs)
+        table = dc.to_table()
+        assert (table.input_size, table.out1_size, table.out2_size) == (nx, n1, n2)
+        assert table.probs.dtype == expect.probs.dtype
+        assert np.array_equal(table.probs, expect.probs)
+        assert not table.probs.flags.writeable
+        with pytest.raises(ValueError):
+            table.probs[0, 0, 0] = 0.5
+
+
 def _to_deterministic_by_rows(w, tol=1e-12):
     """Per-row reference: one entry within tol of 1, all others within tol of 0."""
     pairs = []

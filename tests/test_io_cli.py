@@ -15,16 +15,20 @@ import bcc.cli
 import bcc.exact
 import bcc.nsprograms
 from bcc import (
+    GE,
     LE,
     DeterministicChannel,
+    InfeasibleError,
     InvariantViolationError,
     LpModel,
+    UnboundedError,
     ParseError,
     ValidationError,
     channel_from_dict,
     channel_to_dict,
     dumps_canonical,
     load_channel,
+    lp_solve,
     random_channel,
     random_dyadic_channel,
     random_deterministic_channel,
@@ -349,6 +353,36 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err == "internal error: optimal point violates a constraint\n"
+
+
+def test_cli_pivot_limit_exit_code(tmp_path, capsys, monkeypatch):
+    def capped(model, exact=False):
+        return lp_solve(model, exact=exact, max_pivots=10)
+
+    monkeypatch.setattr(bcc.nsprograms, "lp_solve", capped)
+    path = write_channel(tmp_path, random_channel(3, 3, 3, seed=0))
+    code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                             "--which", "ns")
+    assert code == 3
+    assert out == ""
+    assert err == "error: simplex stopped after 11 pivots\n"
+
+
+@pytest.mark.parametrize("broken, error", [
+    (LpModel(1, [0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0]), InfeasibleError),
+    (LpModel(1, [1.0], [[-1.0]], (LE,), [0.0]), UnboundedError),
+])
+def test_cli_broken_program_is_internal_error(tmp_path, capsys, monkeypatch, broken, error):
+    with pytest.raises(error) as raised:
+        lp_solve(broken)
+    monkeypatch.setattr(bcc.nsprograms, "lp_solve",
+                        lambda model, exact=False: lp_solve(broken, exact=exact))
+    path = write_channel(tmp_path, random_channel(3, 3, 3, seed=0))
+    code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                             "--which", "ns")
+    assert code == 5
+    assert out == ""
+    assert err == f"internal error: {raised.value}\n"
 
 
 def test_cli_out_and_workdir(tmp_path, capsys, monkeypatch):
