@@ -7,15 +7,26 @@ exactly the output subsets s1 and s2 to it.  Joint success passes subset-pair
 sums of each W(., .|x), sum success the average of the two marginal subset
 sums, and the densest quotient a single 0/1 table saying whether any edge
 joins s1 to s2.  A running maximum over inputs gives the best input per
-subset pair; the kernel then enumerates all deterministic decoder pairs
-(k1^|Y1| * k2^|Y2| candidates), each scored with k1*k2 lookups.  The
-decoder-box solver enumerates deterministic encoders instead and solves one
-linear program per encoder; these share their constraints, so only the
-first pays for the simplex's phase 1.
+subset pair.  Renaming the messages of a decoder changes no value, so the
+kernel then scores one decoder per set partition of each output alphabet
+into at most k parts, its restricted-growth string, with k1*k2 lookups per
+pair: sum_{j<=k} S(|Y|, j) decoders per side, S the Stirling numbers of the
+second kind (365 * 122 pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
+The reported candidate count and the enumeration cap stay the number of
+labelled decoder pairs, k1^|Y1| * k2^|Y2|.  The decoder-box solver
+enumerates deterministic encoders instead and solves one linear program per
+encoder; these share their constraints, so only the first pays for the
+simplex's phase 1.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
-the outer position; ties between inputs resolve to the smallest input.
+the outer position; ties between inputs resolve to the smallest input.  The
+smallest labelling of any partition is its restricted-growth string, so
+wherever candidate totals are exact (deterministic channels, densest
+quotients) this is the smallest optimum over all labelled pairs.  On float
+tables a renamed twin can total one ulp more, because its lookups add in
+another order; the value can then differ from the labelled maximum by that
+rounding and the witness can be another code within it.
 """
 
 from __future__ import annotations
@@ -122,14 +133,26 @@ def _pair_subset_table(mat: np.ndarray) -> np.ndarray:
 
 
 def _assignment_rows(num_items: int, num_parts: int) -> np.ndarray:
-    """All assignments as rows, lexicographic with position 0 most significant."""
-    count = num_parts**num_items
-    codes = np.arange(count, dtype=np.int64)
-    out = np.empty((count, num_items), dtype=np.int64)
-    for pos in range(num_items):
-        power = num_parts ** (num_items - 1 - pos)
-        out[:, pos] = (codes // power) % num_parts
-    return out
+    """Restricted-growth strings with at most num_parts parts, in lexicographic order.
+
+    One row per set partition of range(num_items) into at most num_parts
+    nonempty parts: item 0 has label 0 and each later item at most one more
+    than the largest label before it.  Each row is the lexicographically
+    smallest labelling of its partition.  Rows grow one position at a time;
+    every row spawns its allowed next labels in increasing order, which keeps
+    the rows sorted.
+    """
+    rows = np.zeros((1, num_items), dtype=np.int64)
+    top = np.zeros(1, dtype=np.int64)  # largest label so far in each row
+    for pos in range(1, num_items):
+        fanout = np.minimum(top + 2, num_parts)
+        rows = np.repeat(rows, fanout, axis=0)
+        top = np.repeat(top, fanout)
+        starts = np.cumsum(fanout) - fanout
+        label = np.arange(rows.shape[0]) - np.repeat(starts, fanout)
+        rows[:, pos] = label
+        np.maximum(top, label, out=top)
+    return rows
 
 
 def _part_masks(rows: np.ndarray, num_parts: int) -> np.ndarray:
@@ -172,8 +195,8 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
 
     cell_tables is consumed only after both caps pass, so it should be a
     generator.  Returns the best total over all decoder pairs, the two
-    decoder assignments, the encoder (best input per message cell) and the
-    number of candidates.
+    decoder assignments (restricted-growth strings), the encoder (best input
+    per message cell) and the number of labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
     candidates = k1**n1 * k2**n2
@@ -184,10 +207,11 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
 
     table = np.full((1 << n1, 1 << n2), -np.inf)
     argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
+    better = np.empty(table.shape, dtype=bool)
     for x, gx in enumerate(cell_tables):
-        better = gx > table
-        table[better] = gx[better]
-        argmax_x[better] = x
+        np.greater(gx, table, out=better)  # strict: the smallest input keeps a tie
+        np.copyto(table, gx, where=better)
+        np.copyto(argmax_x, x, where=better)
 
     rows, masks = [], []
     for n, k in ((n1, k1), (n2, k2)):

@@ -17,6 +17,7 @@ the oracles; experiments that want separations need delta < 1/4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChannelTable, validate_channel
-from .errors import BadParametersError, SizeCapExceededError
-from .graphs import enumerate_partitions
+from .errors import BadParametersError, EnumerationCapExceededError, SizeCapExceededError
 
 DEFAULT_DELTA = 0.25
 PLANTED, FLAT = "planted", "flat"
@@ -148,8 +148,17 @@ def optimal_welfare(inst: HardnessInstance, which: str = PLANTED,
         return (k1 - 1) * m ** (2.0 * d) + (m - k1 + 1) * m ** (d - 0.5)
     if method != "exhaustive":
         raise BadParametersError("method must be 'closed_form' or 'exhaustive'")
-    return max(sum(value_oracle(inst, which, p.part(j)) for j in range(k1))
-               for p in enumerate_partitions(m, k1, cap))
+    total = k1**m
+    if total > cap:
+        raise EnumerationCapExceededError(total, cap)
+
+    def welfare(assignment) -> float:
+        bundles = [[] for _ in range(k1)]
+        for item, part in enumerate(assignment):
+            bundles[part].append(item)
+        return sum(value_oracle(inst, which, bundle) for bundle in bundles)
+
+    return max(map(welfare, itertools.product(range(k1), repeat=m)))
 
 
 def welfare_gap(inst: HardnessInstance) -> float:

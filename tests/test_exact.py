@@ -1,6 +1,7 @@
 """Exact solver tests against definition-level and brute-force oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from bcc import (
     sum_success,
     validate_channel,
 )
+from bcc.exact import _assignment_rows
 from oracles import best_code_bruteforce, dqg_bruteforce, success_by_loops
 
 SMALL_INSTANCES = (
@@ -127,6 +129,44 @@ def test_solvers_match_bruteforce():
         assert ssum.value == pytest.approx(
             best_code_bruteforce(w, k1, k2, "sum"), abs=1e-12)
         assert sum_success(w, ssum.witness) == pytest.approx(ssum.value, abs=1e-12)
+
+
+def is_restricted_growth(labels) -> bool:
+    """Item 0 has label 0 and each later label is at most one above all before it."""
+    top = -1
+    for label in labels:
+        if label > top + 1:
+            return False
+        top = max(top, label)
+    return True
+
+
+def stirling2(n: int, j: int) -> int:
+    """Partitions of n items into exactly j nonempty parts."""
+    if n == 0 or j == 0:
+        return int(n == j)
+    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+
+
+def test_assignment_rows_are_restricted_growth_strings():
+    for n in range(7):
+        for k in range(1, 5):  # k > n included
+            rows = _assignment_rows(n, k)
+            expected = [t for t in product(range(k), repeat=n) if is_restricted_growth(t)]
+            assert rows.shape == (len(expected), n)
+            assert [tuple(row) for row in rows.tolist()] == expected
+            assert len(expected) == sum(stirling2(n, j) for j in range(k + 1))
+
+
+def test_dense_solvers_match_bruteforce_with_restricted_growth_witnesses():
+    rng = np.random.default_rng(97)
+    for nx, n1, n2, k1, k2 in SMALL_INSTANCES + ((3, 3, 3, 3, 3), (2, 2, 3, 3, 4)):
+        w = random_channel(nx, n1, n2, seed=int(rng.integers(10**6)))
+        for solve, mode in ((solve_joint, "joint"), (solve_sum, "sum")):
+            report = solve(w, k1, k2)
+            assert abs(report.value - best_code_bruteforce(w, k1, k2, mode)) <= 1e-15
+            assert is_restricted_growth(report.witness.decoder1)
+            assert is_restricted_growth(report.witness.decoder2)
 
 
 def test_cellwise_encoder_choice_is_exhaustive():
