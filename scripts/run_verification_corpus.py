@@ -1,30 +1,22 @@
 """Cross-check exact solvers against linear programs on a random corpus.
 
-For each random channel the script computes the brute-force joint and sum
-optima, the assisted (non-signaling) values, and the decoder-box value, then
-verifies every inequality that is supposed to relate them.  Deterministic
-channels additionally check the k1*k2 scaling against the quotient-graph
-solver.  Worst-case slacks are printed at the end; negative slack beyond
-tolerance means a violated guarantee.
+Each random dense channel gets the report of `bcc solve --which all`: the
+brute-force joint and sum optima, the assisted (non-signaling) values and
+the decoder-box values, with every check that report makes between them.
+Each random deterministic channel gets the report of `bcc solve --which
+joint`, whose deterministic view adds the check against the quotient-graph
+solver.  The worst margin of each check over the corpus is printed at the
+end; a margin below minus the check's tolerance is a violated guarantee.
 """
 
 import argparse
-import math
 import sys
 import time
 
 import numpy as np
 
-from bcc import (
-    channel_graph,
-    random_channel,
-    random_deterministic_channel,
-    solve_dqg,
-    solve_joint,
-    solve_ns,
-    solve_ns_dec,
-    solve_sum,
-)
+from bcc import Report, random_channel, random_deterministic_channel
+from bcc.cli import ALL_QUANTITIES, solve_quantities
 
 
 def main(argv=None) -> int:
@@ -40,60 +32,42 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    slacks = {
-        "S <= S_sum": math.inf,
-        "S >= 2 S_sum - 1": math.inf,
-        "S <= S_ns_dec": math.inf,
-        "S_ns_dec <= S_ns": math.inf,
-        "S_ns <= S_ns_sum": math.inf,
-        "S_ns >= 2 S_ns_sum - 1": math.inf,
-        "S_ns_dec(sum) == S_sum": math.inf,
-    }
+    checks = []
     start = time.perf_counter()
     for index in range(args.channels):
         sizes = rng.integers(1, args.max_size + 1, size=3)
         w = random_channel(*(int(v) for v in sizes), seed=int(rng.integers(10**9)))
         k1, k2 = (int(v) for v in rng.integers(1, args.max_messages + 1, size=2))
-        s = solve_joint(w, k1, k2).value
-        s_sum = solve_sum(w, k1, k2).value
-        s_dec = solve_ns_dec(w, k1, k2, "joint").value
-        s_dec_sum = solve_ns_dec(w, k1, k2, "sum").value
-        s_ns = solve_ns(w, k1, k2, "joint").value
-        s_ns_sum = solve_ns(w, k1, k2, "sum").value
-        slacks["S <= S_sum"] = min(slacks["S <= S_sum"], s_sum - s)
-        slacks["S >= 2 S_sum - 1"] = min(slacks["S >= 2 S_sum - 1"], s - (2 * s_sum - 1))
-        slacks["S <= S_ns_dec"] = min(slacks["S <= S_ns_dec"], s_dec - s)
-        slacks["S_ns_dec <= S_ns"] = min(slacks["S_ns_dec <= S_ns"], s_ns - s_dec)
-        slacks["S_ns <= S_ns_sum"] = min(slacks["S_ns <= S_ns_sum"], s_ns_sum - s_ns)
-        slacks["S_ns >= 2 S_ns_sum - 1"] = min(
-            slacks["S_ns >= 2 S_ns_sum - 1"], s_ns - (2 * s_ns_sum - 1))
-        slacks["S_ns_dec(sum) == S_sum"] = min(
-            slacks["S_ns_dec(sum) == S_sum"], -abs(s_dec_sum - s_sum))
+        report = Report("solve")
+        solve_quantities(report, w, None, k1, k2, ALL_QUANTITIES, tol=args.tol)
+        checks += report.checks
+        q = report.quantities
         print(f"channel {index:3d}  |X|={sizes[0]} |Y1|={sizes[1]} |Y2|={sizes[2]} "
-              f"k=({k1},{k2})  S={s:.6f}  S_sum={s_sum:.6f}  S_ns={s_ns:.6f}")
+              f"k=({k1},{k2})  S={q['S']:.6f}  S_sum={q['S_sum']:.6f}  "
+              f"S_ns={q['S_ns']:.6f}")
 
-    det_mismatch = 0
     for index in range(args.channels):
         sizes = rng.integers(1, args.max_size + 2, size=3)
         dc = random_deterministic_channel(*(int(v) for v in sizes),
                                           seed=int(rng.integers(10**9)))
         k1, k2 = (int(v) for v in rng.integers(1, args.max_messages + 2, size=2))
-        scaled = k1 * k2 * solve_joint(dc.to_table(), k1, k2).value
-        quotient = solve_dqg(channel_graph(dc), k1, k2).value
-        det_mismatch += abs(scaled - quotient) > args.tol
+        report = Report("solve")
+        solve_quantities(report, dc.to_table(), dc, k1, k2, ("joint",), tol=args.tol)
+        checks += report.checks
 
     elapsed = time.perf_counter() - start
     print()
     print(f"corpus of {args.channels} dense + {args.channels} deterministic "
           f"channels in {elapsed:.1f}s")
-    failures = det_mismatch
-    for name, slack in slacks.items():
-        verdict = "ok" if slack >= -args.tol else "VIOLATED"
-        failures += slack < -args.tol
-        print(f"  {name:28s} min slack {slack:+.3e}  {verdict}")
-    print(f"  {'k1 k2 S == quotient value':28s} mismatches {det_mismatch}  "
-          f"{'ok' if det_mismatch == 0 else 'VIOLATED'}")
-    return 1 if failures else 0
+    worst, failed = {}, {}
+    for check in checks:
+        if check.name not in worst or check.margin < worst[check.name]:
+            worst[check.name] = check.margin
+        failed[check.name] = failed.get(check.name, 0) + (not check.passed)
+    for name, margin in worst.items():
+        verdict = f"VIOLATED {failed[name]} times" if failed[name] else "ok"
+        print(f"  {name:22s} min margin {margin:+.3e}  {verdict}")
+    return 1 if any(failed.values()) else 0
 
 
 if __name__ == "__main__":

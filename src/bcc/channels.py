@@ -86,7 +86,11 @@ class DeterministicChannel:
                 and np.array_equal(self.pairs, other.pairs))
 
     def to_table(self) -> ChannelTable:
-        """The dense 0/1 table.  The pairs are checked, so its rows need no validation."""
+        """The dense 0/1 table, refused above DEFAULT_ENTRY_CAP entries.  The pairs
+        are checked, so its rows need no validation."""
+        entries = self.input_size * self.out1_size * self.out2_size
+        if entries > DEFAULT_ENTRY_CAP:
+            raise SizeCapExceededError(entries, DEFAULT_ENTRY_CAP)
         probs = np.zeros((self.input_size, self.out1_size, self.out2_size))
         probs[np.arange(self.input_size), self.pairs[:, 0], self.pairs[:, 1]] = 1.0
         probs.flags.writeable = False

@@ -108,13 +108,21 @@ def _code_witness(code) -> dict:
             "decoder2": code.decoder2}
 
 
-def _solve_quantities(report: Report, table, det, k1: int, k2: int,
-                      wanted, args) -> None:
-    """Compute the requested optima and cross-check every pair the run admits."""
+def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
+                     exact: bool = False, cap: int = DEFAULT_ENUM_CAP,
+                     tol: float = DEFAULT_CHECK_TOL) -> None:
+    """Compute the requested optima into report and add every check the run admits.
+
+    wanted names quantities as in ALL_QUANTITIES; det is the deterministic view
+    of table, or None.  The solvers run in a fixed order (joint, sum, ns,
+    ns-sum, ns-dec), which decides what the simplex's phase-1 reuse can share.
+    """
     q = report.quantities
-    tol = args.check_tol
-    exact = args.exact
-    cap = args.enum_cap
+
+    def store(name, value):
+        q[name] = float(value)
+        if exact:
+            q[f"{name}_exact"] = str(value)
 
     if "joint" in wanted:
         rep = solve_joint(table, k1, k2, cap=cap)
@@ -125,26 +133,16 @@ def _solve_quantities(report: Report, table, det, k1: int, k2: int,
         q["S_sum"] = rep.value
         report.witnesses["sum_code"] = _code_witness(rep.witness)
     if "ns" in wanted:
-        ns = solve_ns(table, k1, k2, "joint", exact=exact)
-        q["S_ns"] = float(ns.value)
-        if exact:
-            q["S_ns_exact"] = str(ns.value)
+        store("S_ns", solve_ns(table, k1, k2, "joint", exact=exact).value)
     if "ns-sum" in wanted:
-        ns = solve_ns(table, k1, k2, "sum", exact=exact)
-        q["S_ns_sum"] = float(ns.value)
-        if exact:
-            q["S_ns_sum_exact"] = str(ns.value)
+        store("S_ns_sum", solve_ns(table, k1, k2, "sum", exact=exact).value)
     if "ns-dec" in wanted:
         rep = solve_ns_dec(table, k1, k2, "joint", cap=cap, exact=exact)
-        q["S_ns_dec"] = float(rep.value)
-        if exact:
-            q["S_ns_dec_exact"] = str(rep.value)
+        store("S_ns_dec", rep.value)
         report.witnesses["ns_dec_encoder"] = rep.witness
         if "sum" in wanted:
-            value = solve_ns_dec(table, k1, k2, "sum", cap=cap, exact=exact).value
-            q["S_ns_dec_sum"] = float(value)
-            if exact:
-                q["S_ns_dec_sum_exact"] = str(value)
+            store("S_ns_dec_sum",
+                  solve_ns_dec(table, k1, k2, "sum", cap=cap, exact=exact).value)
 
     def have(*names):
         return all(name in q for name in names)
@@ -194,11 +192,6 @@ def _solve_quantities(report: Report, table, det, k1: int, k2: int,
                              "S_ns", q["S_ns"], "<=",
                              "ns_degree_bound", q["ns_degree_bound"], tol)
 
-    if args.lp_export:
-        build = build_ns_sum if wanted == ("ns-sum",) else build_ns_joint
-        with open(_resolve(args.lp_export), "w") as fp:
-            lp_write_text(build(table, k1, k2), fp)
-
 
 def _provenance(args, **extra) -> dict:
     prov = {"solver": "dense-tableau-simplex", "check_tol": args.check_tol,
@@ -208,31 +201,23 @@ def _provenance(args, **extra) -> dict:
 
 
 def cmd_solve(args) -> Report:
-    channel = load_channel(args.channel)
-    table, det = _as_table(channel)
+    """bcc solve, and bcc tensor, which solves the n-th tensor power instead."""
+    table, det = _as_table(load_channel(args.channel))
     wanted = _expand_which(args.which)
-    report = Report(
-        "solve",
-        inputs={"channel": str(args.channel), "k1": args.k1, "k2": args.k2,
-                "which": list(wanted), "exact": bool(args.exact)},
-        provenance=_provenance(args, enum_cap=args.enum_cap))
-    _solve_quantities(report, table, det, args.k1, args.k2, wanted, args)
-    return report
-
-
-def cmd_tensor(args) -> Report:
-    channel = load_channel(args.channel)
-    base, _ = _as_table(channel)
-    table = tensor_power(base, args.n, cap=args.entry_cap)
-    _, det = _as_table(table)
-    wanted = _expand_which(args.which)
-    report = Report(
-        "tensor",
-        inputs={"channel": str(args.channel), "n": args.n, "k1": args.k1,
-                "k2": args.k2, "which": list(wanted), "exact": bool(args.exact)},
-        provenance=_provenance(args, enum_cap=args.enum_cap,
-                               entry_cap=args.entry_cap))
-    _solve_quantities(report, table, det, args.k1, args.k2, wanted, args)
+    inputs = {"channel": str(args.channel), "k1": args.k1, "k2": args.k2,
+              "which": list(wanted), "exact": bool(args.exact)}
+    provenance = _provenance(args, enum_cap=args.enum_cap)
+    if args.command == "tensor":
+        table, det = _as_table(tensor_power(table, args.n, cap=args.entry_cap))
+        inputs["n"] = args.n
+        provenance["entry_cap"] = args.entry_cap
+    report = Report(args.command, inputs=inputs, provenance=provenance)
+    solve_quantities(report, table, det, args.k1, args.k2, wanted,
+                     exact=args.exact, cap=args.enum_cap, tol=args.check_tol)
+    if args.lp_export:
+        build = build_ns_sum if wanted == ("ns-sum",) else build_ns_joint
+        with open(_resolve(args.lp_export), "w") as fp:
+            lp_write_text(build(table, args.k1, args.k2), fp)
     return report
 
 
@@ -358,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entry-cap", type=int, default=DEFAULT_ENTRY_CAP,
                    help="abort tensor powers beyond this many entries")
-    p.set_defaults(func=cmd_tensor)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("approx", parents=[common],
                        help="certified approximation for deterministic channels")

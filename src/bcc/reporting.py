@@ -36,6 +36,12 @@ class Check:
     tolerance: float
     passed: bool
 
+    @property
+    def margin(self) -> float:
+        """slack signed so that it is nonnegative exactly when the relation holds;
+        the check passes when margin >= -tolerance."""
+        return _margin(self.relation, self.slack)
+
 
 def make_check(name: str, claim: str, lhs_name: str, lhs_value: float,
                relation: str, rhs_name: str, rhs_value: float,
@@ -44,14 +50,16 @@ def make_check(name: str, claim: str, lhs_name: str, lhs_value: float,
         raise ValueError(f"unknown relation {relation!r}")
     lhs, rhs = float(lhs_value), float(rhs_value)
     slack = rhs - lhs
-    if relation == LE:
-        passed = slack >= -tolerance
-    elif relation == GE:
-        passed = slack <= tolerance
-    else:
-        passed = abs(slack) <= tolerance
     return Check(name, claim, lhs_name, lhs, relation, rhs_name, rhs,
-                 slack, float(tolerance), passed)
+                 slack, float(tolerance), _margin(relation, slack) >= -tolerance)
+
+
+def _margin(relation: str, slack: float) -> float:
+    if relation == LE:
+        return slack
+    if relation == GE:
+        return -slack
+    return -abs(slack)
 
 
 @dataclass

@@ -29,6 +29,7 @@ from bcc import (
     dumps_canonical,
     load_channel,
     lp_solve,
+    make_check,
     random_channel,
     random_dyadic_channel,
     random_deterministic_channel,
@@ -219,6 +220,16 @@ def test_load_channel_prefixes_path(tmp_path):
         load_channel(path)
 
 
+def test_check_margin_is_nonnegative_exactly_when_the_relation_holds():
+    for relation, lhs, rhs, margin in (("<=", 1.0, 3.0, 2.0), ("<=", 3.0, 1.0, -2.0),
+                                       (">=", 3.0, 1.0, 2.0), (">=", 1.0, 3.0, -2.0),
+                                       ("=", 1.0, 3.0, -2.0), ("=", 3.0, 1.0, -2.0)):
+        for tolerance in (1.5, 2.0, 2.5):
+            check = make_check("c", "claim", "a", lhs, relation, "b", rhs, tolerance)
+            assert check.margin == margin
+            assert check.passed == (margin >= -tolerance)
+
+
 def test_cli_solve_perfect_channel(tmp_path, capsys):
     path = perfect_file(tmp_path)
     code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2")
@@ -249,10 +260,11 @@ def test_cli_solve_one_input_values(tmp_path, capsys):
 def test_cli_exact_mode_reports_rationals(tmp_path, capsys):
     path = one_input_file(tmp_path)
     code, out, _ = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
-                           "--which", "ns", "--exact")
+                           "--which", "ns", "ns-sum", "--exact")
     assert code == 0
     q = report_from(out)["quantities"]
     assert q["S_ns_exact"] == "1/4"
+    assert q["S_ns_sum_exact"] == "1/2"
 
 
 def test_cli_exact_decoder_box_verifies(tmp_path, capsys):
@@ -294,6 +306,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
                            "--which", "joint", "--enum-cap", "1")
     assert code == 3
+
+    # One input over 10^6 x 10^6 outputs: a dense table of 8 TB.
+    huge = write_channel(tmp_path, DeterministicChannel(1, 10**6, 10**6, [[0, 0]]),
+                         "huge.json")
+    code, out, err = run_cli(capsys, "solve", str(huge), "--k1", "2", "--k2", "2",
+                             "--which", "joint")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: required size") and err.count("\n") == 1
 
     code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
                              "--which", "joint", "sum", "--verify",
