@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     parser.add_argument("--k2", type=int, default=2, help="right parts")
     parser.add_argument("--density", type=float, default=0.4)
     parser.add_argument("--samples", type=int, default=64,
-                        help="random right partitions sampled per instance")
+                        help="random left partitions sampled per instance")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

@@ -284,11 +284,7 @@ def cmd_hardness(args) -> Report:
     report.add_check("planted_welfare_closed_form",
                      "planted optimum equals the number of items",
                      "planted_welfare", planted, "=", "m", inst.m, args.check_tol)
-    materialize = args.materialize
-    if materialize == "auto":
-        entries = inst.num_inputs**2 * inst.m
-        materialize = "yes" if entries <= 10**6 else "no"
-    if materialize == "yes":
+    if inst.num_inputs**2 * inst.m <= 10**6:
         for which in ("planted", "flat"):
             table = materialize_channel(inst, which)
             worst = float(abs(table.probs.sum(axis=(1, 2)) - 1.0).max())
@@ -364,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--size", type=int, default=None,
                    help="subset size for the random strategy (default sqrt(m))")
-    p.add_argument("--materialize", choices=("auto", "yes", "no"), default="auto",
-                   help="also build and validate the dense channels")
     p.add_argument("--log", help="write one JSON line per query here")
     p.set_defaults(func=cmd_hardness)
     return parser

@@ -36,13 +36,11 @@ from itertools import product
 
 import numpy as np
 
-from .channels import ChannelTable, DeterministicChannel, marginals
+from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel, marginals
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
 from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
 from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
 from .simplex import lp_solve
-
-TABLE_ENTRY_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,8 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
     candidates = k1**n1 * k2**n2
     if candidates > cap:
         raise EnumerationCapExceededError(candidates, cap)
-    if 1 << (n1 + n2) > TABLE_ENTRY_CAP:
-        raise SizeCapExceededError(1 << (n1 + n2), TABLE_ENTRY_CAP)
+    if 1 << (n1 + n2) > DEFAULT_ENTRY_CAP:
+        raise SizeCapExceededError(1 << (n1 + n2), DEFAULT_ENTRY_CAP)
 
     table = np.full((1 << n1, 1 << n2), -np.inf)
     argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)

@@ -24,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChannelTable, validate_channel
+from .channels import DEFAULT_ENTRY_CAP, ChannelTable, validate_channel
 from .errors import BadParametersError, EnumerationCapExceededError, SizeCapExceededError
+from .graphs import DEFAULT_ENUM_CAP
 
 DEFAULT_DELTA = 0.25
 PLANTED, FLAT = "planted", "flat"
@@ -103,7 +104,7 @@ def value_oracle(inst: HardnessInstance, which: str, subset) -> float:
 
 
 def materialize_channel(inst: HardnessInstance, which: str = PLANTED,
-                        cap: int = 10**8) -> ChannelTable:
+                        cap: int = DEFAULT_ENTRY_CAP) -> ChannelTable:
     """Dense table of the instance channel.
 
     Inputs and second outputs share the alphabet [m + k1 + 1]; the second
@@ -131,7 +132,7 @@ def materialize_channel(inst: HardnessInstance, which: str = PLANTED,
 
 
 def optimal_welfare(inst: HardnessInstance, which: str = PLANTED,
-                    method: str = "closed_form", cap: int = 10**7) -> float:
+                    method: str = "closed_form", cap: int = DEFAULT_ENUM_CAP) -> float:
     """Welfare optimum over partitions of the items into k1 bundles.
 
     Closed form: the planted value is m (blocks as bundles); the flat value

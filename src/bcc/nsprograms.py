@@ -10,19 +10,22 @@ Variable order of the compact model is fixed (p block, then r row-major,
 then r1, then r2) so exported files and extracted solutions line up.
 
 Each program numbers its variables with index arrays (np.arange reshaped
-into the p/r/r1/r2 blocks, or into the box axes) and builds every
-constraint family with one `_rows` call on those arrays, so a family's rows
-come out in the C order of its index array.
+into the p/r/r1/r2 blocks, or into the box axes), states every constraint
+family as terms on those arrays, and hands the families to `_assemble`, the
+one place where rows become dense.  A family's rows come out in the C order
+of its index arrays, and a matrix above the program's entry cap is refused
+before it is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .channels import ChannelTable, marginals
+from .channels import DEFAULT_ENTRY_CAP, ChannelTable, marginals
 from .errors import (
     BadParametersError,
     InvariantViolationError,
@@ -41,30 +44,34 @@ def _check_k(k1: int, k2: int):
         raise BadParametersError("message counts must be >= 1")
 
 
-def _rows(n: int, *terms) -> np.ndarray:
-    """One dense row of length n per cell of the terms' broadcast shape, C order.
+def _assemble(n: int, families, cap: int) -> tuple:
+    """Dense rows, relations and right-hand sides of (terms, relation, rhs) families.
 
-    Each term is (index array, coefficient): the cell's row gets the
-    coefficient at the cell's index, and terms that meet in one entry add up
-    in term order.  A sum over an axis is one term per slice.
+    Each term is (index array, coefficient).  A family has one row of length
+    n per cell of its terms' broadcast shape, in C order: the cell's row gets
+    the coefficient at the cell's index, and terms that meet in one entry add
+    up in term order.  The shapes give the row count, so a matrix of more
+    than cap entries is refused before anything is allocated.
     """
-    cols = np.stack(np.broadcast_arrays(*(idx for idx, _ in terms)), axis=-1)
-    cols = cols.reshape(-1, len(terms))
-    out = np.zeros((len(cols), n))
-    np.add.at(out, (np.arange(len(cols))[:, None], cols), [coef for _, coef in terms])
-    return out
+    counts = [math.prod(np.broadcast_shapes(*(np.shape(idx) for idx, _ in terms)))
+              for terms, _, _ in families]
+    total = sum(counts)
+    if total * n > cap:
+        raise SizeCapExceededError(total * n, cap)
+    rows = np.zeros((total, n))
+    start = 0
+    for (terms, _, _), count in zip(families, counts):
+        cols = np.stack(np.broadcast_arrays(*(idx for idx, _ in terms)), axis=-1)
+        np.add.at(rows, (np.arange(start, start + count)[:, None],
+                         cols.reshape(-1, len(terms))), [coef for _, coef in terms])
+        start += count
+    rels = tuple(rel for (_, rel, _), count in zip(families, counts) for _ in range(count))
+    return rows, rels, np.repeat([float(b) for _, _, b in families], counts)
 
 
 def _over(idx: np.ndarray, coef: float) -> list:
     """Terms that sum coef over the first axis of idx."""
     return [(a, coef) for a in idx]
-
-
-def _stack(families) -> tuple:
-    """Rows, relations and right-hand sides of (rows, relation, rhs) families."""
-    return (np.vstack([rows for rows, _, _ in families]),
-            tuple(rel for rows, rel, _ in families for _ in rows),
-            np.concatenate([np.full(len(rows), float(b)) for rows, _, b in families]))
 
 
 def _compact_index(nx: int, n1: int, n2: int) -> tuple:
@@ -84,20 +91,19 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel
     pairs2 = [(x, b) for x in range(nx) for b in range(n2)]
     p3, r13, r23 = p[:, None, None], r1[:, :, None], r2[:, None, :]
     families = [
-        (_rows(n, *_over(r, 1.0)), EQ, 1.0,
-         [f"norm_r_a{a}_b{b}" for a, b in outs]),
-        (_rows(n, *_over(r1, 1.0)), EQ, k2, [f"norm_r1_a{a}" for a in range(n1)]),
-        (_rows(n, *_over(r2, 1.0)), EQ, k1, [f"norm_r2_b{b}" for b in range(n2)]),
-        (_rows(n, *_over(p, 1.0)), EQ, k1 * k2, ["norm_p"]),
-        (_rows(n, (r, 1.0), (r13, -1.0)), LE, 0.0,
+        (_over(r, 1.0), EQ, 1.0, [f"norm_r_a{a}_b{b}" for a, b in outs]),
+        (_over(r1, 1.0), EQ, k2, [f"norm_r1_a{a}" for a in range(n1)]),
+        (_over(r2, 1.0), EQ, k1, [f"norm_r2_b{b}" for b in range(n2)]),
+        (_over(p, 1.0), EQ, k1 * k2, ["norm_p"]),
+        ([(r, 1.0), (r13, -1.0)], LE, 0.0,
          [f"r_le_r1_x{x}_a{a}_b{b}" for x, a, b in cells]),
-        (_rows(n, (r, 1.0), (r23, -1.0)), LE, 0.0,
+        ([(r, 1.0), (r23, -1.0)], LE, 0.0,
          [f"r_le_r2_x{x}_a{a}_b{b}" for x, a, b in cells]),
-        (_rows(n, (r1, 1.0), (p[:, None], -1.0)), LE, 0.0,
+        ([(r1, 1.0), (p[:, None], -1.0)], LE, 0.0,
          [f"r1_le_p_x{x}_a{a}" for x, a in pairs1]),
-        (_rows(n, (r2, 1.0), (p[:, None], -1.0)), LE, 0.0,
+        ([(r2, 1.0), (p[:, None], -1.0)], LE, 0.0,
          [f"r2_le_p_x{x}_b{b}" for x, b in pairs2]),
-        (_rows(n, (p3, 1.0), (r13, -1.0), (r23, -1.0), (r, 1.0)), GE, 0.0,
+        ([(p3, 1.0), (r13, -1.0), (r23, -1.0), (r, 1.0)], GE, 0.0,
          [f"slack_x{x}_a{a}_b{b}" for x, a, b in cells]),
     ]
 
@@ -115,7 +121,7 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel
              + [f"r_x{x}_a{a}_b{b}" for x, a, b in cells]
              + [f"r1_x{x}_a{a}" for x, a in pairs1]
              + [f"r2_x{x}_b{b}" for x, b in pairs2])
-    rows, rels, rhs = _stack([f[:3] for f in families])
+    rows, rels, rhs = _assemble(n, [f[:3] for f in families], DEFAULT_ENTRY_CAP)
     return LpModel(n, c, rows, rels, rhs, var_names=tuple(names),
                    row_names=tuple(name for f in families for name in f[3]))
 
@@ -135,9 +141,9 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     """Explicit program over full boxes P(x j1 j2 | (i1 i2) y1 y2).
 
     Exponentially larger than the compact form; guarded by a variable cap and
-    by FULL_DENSE_ENTRY_CAP on rows x variables, and meant for
-    cross-checking on tiny instances.  Variables are laid out row-major over
-    (x, j1, j2, i1, i2, y1, y2).
+    by FULL_DENSE_ENTRY_CAP on rows x variables, checked before the dense
+    matrix is allocated, and meant for cross-checking on tiny instances.
+    Variables are laid out row-major over (x, j1, j2, i1, i2, y1, y2).
     """
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
@@ -145,12 +151,6 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     n = int(np.prod(shape))
     if n > cap:
         raise SizeCapExceededError(n, cap)
-    # Row counts of the four families below, so a dense matrix that would not
-    # fit is refused before anything is allocated.
-    num_rows = (k1 * k2 * n1 * n2 * (k1 * k2 - 1) + nx * k1 * k2 * k2 * n2 * (n1 - 1)
-                + nx * k1 * k1 * k2 * n1 * (n2 - 1) + k1 * k2 * n1 * n2)
-    if num_rows * n > FULL_DENSE_ENTRY_CAP:
-        raise SizeCapExceededError(num_rows * n, FULL_DENSE_ENTRY_CAP)
     v = np.arange(n).reshape(shape)
 
     # Each index array below puts the summed axis first and the row axes
@@ -162,12 +162,12 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     marg_1 = v.transpose(1, 0, 2, 3, 4, 6, 5)
     # Output-2 marginal independent of y2: rows (x, j1, i1, i2, y1, y2 >= 1), over j2.
     marg_2 = v.transpose(2, 0, 1, 3, 4, 5, 6)
-    rows, rels, rhs = _stack([
-        *((_rows(n, *_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)), EQ, 0.0)
+    rows, rels, rhs = _assemble(n, [
+        *(([*_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)], EQ, 0.0)
           for m in (marg_x, marg_1, marg_2)),
         # Normalization per conditioning tuple (i1, i2, y1, y2), over (x, j1, j2).
-        (_rows(n, *_over(v.reshape(nx * k1 * k2, k1, k2, n1, n2), 1.0)), EQ, 1.0),
-    ])
+        (_over(v.reshape(nx * k1 * k2, k1, k2, n1, n2), 1.0), EQ, 1.0),
+    ], FULL_DENSE_ENTRY_CAP)
 
     c = np.zeros(n)
     if objective == "joint":
@@ -209,11 +209,11 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
 
     marg_1 = v.transpose(1, 0, 2, 3)   # over j2, rows (j1, y1, y2 >= 1)
     marg_2 = v.transpose(0, 1, 3, 2)   # over j1, rows (j2, y2, y1 >= 1)
-    rows, rels, rhs = _stack([
-        (_rows(n, *_over(v.reshape(k1 * k2, n1, n2), 1.0)), EQ, 1.0),
-        *((_rows(n, *_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)), EQ, 0.0)
+    rows, rels, rhs = _assemble(n, [
+        (_over(v.reshape(k1 * k2, n1, n2), 1.0), EQ, 1.0),
+        *(([*_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)], EQ, 0.0)
           for m in (marg_1, marg_2)),
-    ])
+    ], DEFAULT_ENTRY_CAP)
     return LpModel(n, _decoder_box_objective(w, enc, objective), rows, rels, rhs)
 
 

@@ -315,6 +315,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: required size") and err.count("\n") == 1
 
+    # The table has only 16 000 entries, but the compact program's dense
+    # matrix would have 50 041 x 17 640: refused before it is allocated.
+    det = write_channel(tmp_path, random_deterministic_channel(40, 20, 20, seed=0),
+                        "det40.json")
+    code, out, err = run_cli(capsys, "solve", str(det), "--k1", "2", "--k2", "2",
+                             "--which", "ns")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: required size") and err.count("\n") == 1
+
     code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
                              "--which", "joint", "sum", "--verify",
                              "--check-tol=-1")

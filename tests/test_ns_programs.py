@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcc.nsprograms as nsprograms
 from bcc import (
     BadParametersError,
     InvariantViolationError,
@@ -228,6 +229,44 @@ def test_full_program_dense_size_cap():
         tracemalloc.stop()
     assert err.value.needed == 11_016 * 19_440
     assert peak < 10**6
+
+
+def test_dense_size_is_counted_before_building(monkeypatch):
+    """Each builder refuses a cap one below the rows x variables it builds."""
+    w = random_channel(3, 2, 3, seed=2)
+    enc = [[0, 1, 2], [2, 0, 1]]
+    cases = [
+        ("DEFAULT_ENTRY_CAP", lambda: build_ns_joint(w, 2, 3)),
+        ("DEFAULT_ENTRY_CAP", lambda: build_ns_sum(w, 2, 3)),
+        ("DEFAULT_ENTRY_CAP", lambda: build_decoder_box_lp(w, enc, 2, 3, "joint")),
+        ("DEFAULT_ENTRY_CAP", lambda: build_decoder_box_lp(w, enc, 2, 3, "sum")),
+        ("FULL_DENSE_ENTRY_CAP", lambda: build_ns_full(w, 2, 2, "joint")),
+        ("FULL_DENSE_ENTRY_CAP", lambda: build_ns_full(w, 2, 2, "sum")),
+    ]
+    for cap_name, build in cases:
+        model = build()
+        needed = model.num_rows * model.num_vars
+        with monkeypatch.context() as patch:
+            patch.setattr(nsprograms, cap_name, needed)
+            build()
+            patch.setattr(nsprograms, cap_name, needed - 1)
+            with pytest.raises(SizeCapExceededError) as err:
+                build()
+        assert (err.value.needed, err.value.cap) == (needed, needed - 1), cap_name
+
+
+def test_compact_program_dense_size_cap():
+    # 17 640 variables and 50 041 rows: a 7 GB matrix, refused unallocated.
+    w = random_channel(40, 20, 20, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceededError) as err:
+            build_ns_joint(w, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.needed == 50_041 * 17_640
+    assert peak < 2 * 10**7
 
 
 def test_decoder_box_one_input_values():
