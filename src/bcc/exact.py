@@ -15,8 +15,12 @@ second kind (365 * 122 pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
 The reported candidate count and the enumeration cap stay the number of
 labelled decoder pairs, k1^|Y1| * k2^|Y2|.  The decoder-box solver
 enumerates deterministic encoders instead and solves one linear program per
-encoder; these share their constraints, so only the first pays for the
-simplex's phase 1.
+encoder orbit: permuting the rows and columns of the k1 x k2 message grid,
+and the box's two outputs with them, maps feasible boxes to feasible boxes
+of the same value, so only the lexicographically smallest encoder of each
+orbit of S_k1 x S_k2 is solved.  Its count and cap stay the number of
+labelled encoders, |X|^(k1 k2).  The programs share their constraints, so
+only the first pays for the simplex's phase 1.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
@@ -26,13 +30,18 @@ wherever candidate totals are exact (deterministic channels, densest
 quotients) this is the smallest optimum over all labelled pairs.  On float
 tables a renamed twin can total one ulp more, because its lookups add in
 another order; the value can then differ from the labelled maximum by that
-rounding and the witness can be another code within it.
+rounding and the witness can be another code within it.  The decoder-box
+solver keeps the first strict maximum over orbit representatives in
+lexicographic order.  The smallest maximizing encoder is the smallest of its
+orbit, so in exact mode this is the smallest optimal encoder overall; in
+float mode the witness is the smallest of its orbit and the value can differ
+by rounding from a solve of another member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -261,6 +270,17 @@ def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) 
     return SolveReport(int(round(best_val)), witness, candidates)
 
 
+def _orbit_index_maps(k1: int, k2: int) -> list[tuple[int, ...]]:
+    """Row-major index maps of every non-identity row and column permutation.
+
+    Map g sends a flat encoder to tuple(flat[i] for i in g), the encoder with
+    rows permuted by s and columns by t.
+    """
+    maps = [tuple(s[i1] * k2 + t[i2] for i1 in range(k1) for i2 in range(k2))
+            for s in permutations(range(k1)) for t in permutations(range(k2))]
+    return maps[1:]   # the first is the identity
+
+
 def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
                  cap: int = DEFAULT_ENUM_CAP, exact: bool = False) -> SolveReport:
     """Best deterministic encoder with an optimal shared decoder box.
@@ -268,6 +288,19 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     For each encoder the box optimum is a linear program; the overall optimum
     over stochastic encoders is attained at a deterministic one because the
     objective is bilinear, so enumerating |X|^(k1 k2) encoders is exhaustive.
+    Renaming the messages (permuting the grid's rows and columns, and the
+    box's outputs j1 and j2 with them) keeps every box feasible and its value
+    unchanged, so encoders in one orbit share their optimum and only the
+    lexicographically smallest member of each orbit is solved.  The reported
+    count and the cap stay |X|^(k1 k2).
+
+    Ties keep the first strict maximum over those representatives in
+    lexicographic order.  In exact mode, where each objective coefficient is
+    an exact sum, that is the smallest optimal encoder overall, since the
+    smallest maximizer is the smallest of its orbit.  In float mode the
+    witness is the smallest member of its orbit, and the value can differ by
+    rounding from a solve of another member.
+
     The programs differ only in their objective: the box program is built
     once and each encoder swaps in its objective, and lp_solve runs phase 1
     once for all of them (and for a following call with the other objective).
@@ -279,10 +312,13 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
         raise EnumerationCapExceededError(candidates, cap)
 
     box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
+    maps = _orbit_index_maps(k1, k2)
     best_val, best_enc = None, None
     for flat in product(range(nx), repeat=k1 * k2):
+        if any(tuple(map(flat.__getitem__, g)) < flat for g in maps):
+            continue
         enc = np.asarray(flat, dtype=int).reshape(k1, k2)
-        model = replace(box, objective=_decoder_box_objective(w, enc, objective))
+        model = replace(box, objective=_decoder_box_objective(w, enc, objective, exact))
         sol = lp_solve(model, exact=exact)
         if best_val is None or sol.value > best_val:
             best_val = sol.value

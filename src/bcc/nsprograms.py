@@ -32,7 +32,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .simplex import EQ, GE, LE, LpModel, LpSolution, lp_solve
+from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve
 
 DEFAULT_FULL_VAR_CAP = 20_000
 FULL_DENSE_ENTRY_CAP = 10**7  # rows x variables of the dense full-box matrix, 80 MB
@@ -217,19 +217,26 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
     return LpModel(n, _decoder_box_objective(w, enc, objective), rows, rels, rhs)
 
 
-def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str) -> np.ndarray:
+def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str,
+                           exact: bool = False) -> np.ndarray:
     """Objective of the decoder-box program for a checked (k1, k2) encoder array.
 
-    Only this part of the program depends on the encoder.
+    Only this part of the program depends on the encoder.  Each coefficient
+    is a sum of float terms w.probs[x] / (k1 k2), or / (2 k1 k2) for sum.
+    Exact mode adds the terms as Fractions, so no coefficient depends on the
+    order its terms come in and renaming the messages permutes the objective
+    exactly; a float sum coefficient can differ from its renamed twin by
+    rounding.
     """
     k1, k2 = enc.shape
     n1, n2 = w.out1_size, w.out2_size
     n = k1 * k2 * n1 * n2
     v = np.arange(n).reshape(k1, k2, n1, n2)
-    c = np.zeros(n)
+    c = np.full(n, Fraction(0), dtype=object) if exact else np.zeros(n)
+    cast = _to_fraction if exact else np.asarray
     sent = w.probs[enc]   # (i1, i2, y1, y2)
     if objective == "joint":
-        np.add.at(c, v, sent / (k1 * k2))
+        np.add.at(c, v, cast(sent / (k1 * k2)))
     elif objective == "sum":
         # Cell (i1, i2, y1, y2) adds its weight to v[i1, j2, y1, y2] for each
         # j2, then to v[j1, i2, y1, y2] for each j1; np.add.at keeps that
@@ -237,7 +244,7 @@ def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str) -> 
         by_j2 = np.broadcast_to(v.transpose(0, 2, 3, 1)[:, None], (k1, k2, n1, n2, k2))
         by_j1 = np.broadcast_to(v.transpose(1, 2, 3, 0)[None], (k1, k2, n1, n2, k1))
         np.add.at(c, np.concatenate([by_j2, by_j1], axis=-1),
-                  (sent / (2 * k1 * k2))[..., None])
+                  cast(sent / (2 * k1 * k2))[..., None])
     else:
         raise ValidationError(f"unknown objective {objective!r}")
     return c

@@ -66,6 +66,42 @@ def best_code_bruteforce(w, k1: int, k2: int, mode: str = "joint",
     return best / (k1 * k2)
 
 
+def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
+                           exact: bool = False):
+    """Decoder-box optimum with one LP per labelled encoder, no symmetry used.
+
+    Returns the value and the first encoder, in lexicographic order, that
+    strictly beats every earlier one.  Exact mode builds each objective by
+    loops, adding the program's float terms w[x] / (k1 k2) (or / (2 k1 k2)
+    for sum) as Fractions.
+    """
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from bcc.nsprograms import build_decoder_box_lp
+    from bcc.simplex import lp_solve
+    n1, n2 = w.out1_size, w.out2_size
+    best_val, best_enc = None, None
+    for flat in itertools.product(range(w.input_size), repeat=k1 * k2):
+        enc = np.asarray(flat, dtype=int).reshape(k1, k2)
+        model = build_decoder_box_lp(w, enc, k1, k2, objective)
+        if exact:
+            c = np.full((k1, k2, n1, n2), Fraction(0), dtype=object)
+            for i1, i2, y1, y2 in itertools.product(range(k1), range(k2), range(n1), range(n2)):
+                p = float(w.probs[enc[i1, i2], y1, y2])
+                if objective == "joint":
+                    c[i1, i2, y1, y2] += Fraction(p / (k1 * k2))
+                else:
+                    term = Fraction(p / (2 * k1 * k2))
+                    c[i1, :, y1, y2] += term   # receiver 1 decodes i1
+                    c[:, i2, y1, y2] += term   # receiver 2 decodes i2
+            model = replace(model, objective=c.ravel())
+        value = lp_solve(model, exact=exact).value
+        if best_val is None or value > best_val:
+            best_val, best_enc = value, tuple(map(tuple, enc.tolist()))
+    return best_val, best_enc
+
+
 def quotient_pair_set(g, p1, p2) -> set:
     """Part pairs (i1, i2) joined by at least one edge, as an explicit set."""
     return {(p1.assignment[u], p2.assignment[v]) for u, v in g.edges()}

@@ -1,7 +1,9 @@
 """Exact solver tests against definition-level and brute-force oracles."""
 
+import importlib
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +33,13 @@ from bcc import (
     sum_success,
     validate_channel,
 )
+import bcc.exact
 from bcc.exact import _assignment_rows
-from oracles import best_code_bruteforce, dqg_bruteforce, success_by_loops
+from bcc.nsprograms import build_decoder_box_lp
+from bcc.simplex import lp_solve
+from oracles import best_code_bruteforce, dqg_bruteforce, ns_dec_by_all_encoders, success_by_loops
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_INSTANCES = (
     # (nx, n1, n2, k1, k2)
@@ -307,3 +314,67 @@ def test_ns_dec_exact_mode_matches_float():
     assert abs(float(exact.value) - approx.value) <= 1e-9
     assert exact.witness == approx.witness
     assert exact.enumerated == approx.enumerated == 2**4
+
+
+NS_DEC_KS = ((2, 2), (2, 3), (1, 3), (3, 1))
+
+
+def orbit(encoder):
+    """Every encoder reached by permuting the rows and the columns of encoder."""
+    enc = np.asarray(encoder)
+    return {tuple(map(tuple, enc[list(s)][:, list(t)].tolist()))
+            for s in permutations(range(enc.shape[0]))
+            for t in permutations(range(enc.shape[1]))}
+
+
+@pytest.mark.parametrize("objective", ["joint", "sum"])
+def test_ns_dec_exact_matches_all_encoders(objective):
+    # One LP per encoder orbit gives the full loop's exact value and its
+    # witness, the smallest optimal encoder over all labelled ones.
+    cases = [(random_dyadic_channel(*shape, seed=seed, denominator=16), k)
+             for shape, seed in (((2, 2, 2), 5), ((2, 2, 3), 6)) for k in NS_DEC_KS]
+    cases.append((random_dyadic_channel(3, 2, 2, seed=5, denominator=16), (2, 2)))
+    for w, (k1, k2) in cases:
+        report = solve_ns_dec(w, k1, k2, objective, exact=True)
+        value, witness = ns_dec_by_all_encoders(w, k1, k2, objective, exact=True)
+        assert isinstance(report.value, Fraction)
+        assert report.value == value
+        assert report.witness == witness
+        assert report.enumerated == w.input_size ** (k1 * k2)
+
+
+@pytest.mark.parametrize("objective", ["joint", "sum"])
+def test_ns_dec_float_orbit_representative(objective):
+    rng = np.random.default_rng(97)
+    for shape in ((3, 2, 2), (2, 3, 2), (3, 2, 3)):
+        for k1, k2 in NS_DEC_KS:
+            w = random_channel(*shape, seed=int(rng.integers(10**6)))
+            report = solve_ns_dec(w, k1, k2, objective)
+            value, _ = ns_dec_by_all_encoders(w, k1, k2, objective)
+            assert abs(report.value - value) <= 1e-12
+            assert report.witness == min(orbit(report.witness))
+            own = lp_solve(build_decoder_box_lp(w, report.witness, k1, k2, objective))
+            assert own.value == report.value
+
+
+def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
+    # encoder_orbits counts the orbits by Burnside's lemma, independently
+    # of the solver's smallest-member filter.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    calls = []
+
+    def counting_lp_solve(model, exact=False):
+        calls.append(exact)
+        return lp_solve(model, exact=exact)
+
+    monkeypatch.setattr(bcc.exact, "lp_solve", counting_lp_solve)
+    for nx, k1, k2 in ((3, 2, 2), (2, 2, 3), (3, 1, 3), (2, 3, 2)):
+        w = random_channel(nx, 2, 2, seed=nx * 10 + k1 * 3 + k2)
+        calls.clear()
+        report = solve_ns_dec(w, k1, k2, "joint")
+        assert len(calls) == spans.encoder_orbits(nx, k1, k2)
+        assert report.enumerated == nx ** (k1 * k2)
+    assert spans.encoder_orbits(3, 2, 2) == 27
+    with pytest.raises(EnumerationCapExceededError):
+        solve_ns_dec(random_channel(3, 2, 2, seed=0), 2, 2, cap=80)
