@@ -33,7 +33,6 @@ from bcc import (
     sum_success,
     validate_channel,
 )
-import bcc.exact
 from bcc.exact import _assignment_rows
 from bcc.nsprograms import build_decoder_box_lp
 from bcc.simplex import lp_solve
@@ -368,7 +367,7 @@ def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
         calls.append(exact)
         return lp_solve(model, exact=exact)
 
-    monkeypatch.setattr(bcc.exact, "lp_solve", counting_lp_solve)
+    monkeypatch.setattr("bcc.exact.lp_solve", counting_lp_solve)
     for nx, k1, k2 in ((3, 2, 2), (2, 2, 3), (3, 1, 3), (2, 3, 2)):
         w = random_channel(nx, 2, 2, seed=nx * 10 + k1 * 3 + k2)
         calls.clear()
