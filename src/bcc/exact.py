@@ -41,7 +41,7 @@ by rounding from a solve of another member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -270,15 +270,24 @@ def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) 
     return SolveReport(int(round(best_val)), witness, candidates)
 
 
-def _orbit_index_maps(k1: int, k2: int) -> list[tuple[int, ...]]:
-    """Row-major index maps of every non-identity row and column permutation.
+def _is_orbit_min(flat: tuple[int, ...], k1: int, k2: int) -> bool:
+    """Whether a row-major k1 x k2 encoder is the smallest of its orbit.
 
-    Map g sends a flat encoder to tuple(flat[i] for i in g), the encoder with
-    rows permuted by s and columns by t.
+    With the columns fixed, the smallest row permutation of a grid sorts its
+    rows as tuples; with the rows fixed, the smallest column permutation
+    sorts its columns.  So the orbit minimum is the smallest, over the
+    permutations of the shorter side, of the grid with the other side sorted:
+    min(k1!, k2!) sorts instead of k1! k2! permuted grids.  Unsorted rows
+    rule a grid out before any permutation is tried.
     """
-    maps = [tuple(s[i1] * k2 + t[i2] for i1 in range(k1) for i2 in range(k2))
-            for s in permutations(range(k1)) for t in permutations(range(k2))]
-    return maps[1:]   # the first is the identity
+    rows = [flat[i * k2:(i + 1) * k2] for i in range(k1)]
+    if rows != sorted(rows):
+        return False
+    if k1 <= k2:
+        grids = (zip(*sorted(zip(*s))) for s in permutations(rows))
+    else:
+        grids = (sorted(zip(*t)) for t in permutations(zip(*rows)))
+    return not any(tuple(chain.from_iterable(g)) < flat for g in grids)
 
 
 def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
@@ -295,11 +304,11 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     count and the cap stay |X|^(k1 k2).
 
     Ties keep the first strict maximum over those representatives in
-    lexicographic order.  In exact mode, where each objective coefficient is
-    an exact sum, that is the smallest optimal encoder overall, since the
-    smallest maximizer is the smallest of its orbit.  In float mode the
-    witness is the smallest member of its orbit, and the value can differ by
-    rounding from a solve of another member.
+    lexicographic order.  In exact mode, where the objective is the exact
+    rational one of the channel, that is the smallest optimal encoder
+    overall, since the smallest maximizer is the smallest of its orbit.  In
+    float mode the witness is the smallest member of its orbit, and the
+    value can differ by rounding from a solve of another member.
 
     The programs differ only in their objective: the box program is built
     once and each encoder swaps in its objective, and lp_solve runs phase 1
@@ -312,10 +321,9 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
         raise EnumerationCapExceededError(candidates, cap)
 
     box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
-    maps = _orbit_index_maps(k1, k2)
     best_val, best_enc = None, None
     for flat in product(range(nx), repeat=k1 * k2):
-        if any(tuple(map(flat.__getitem__, g)) < flat for g in maps):
+        if not _is_orbit_min(flat, k1, k2):
             continue
         enc = np.asarray(flat, dtype=int).reshape(k1, k2)
         model = replace(box, objective=_decoder_box_objective(w, enc, objective, exact))

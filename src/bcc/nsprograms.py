@@ -222,21 +222,22 @@ def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str,
     """Objective of the decoder-box program for a checked (k1, k2) encoder array.
 
     Only this part of the program depends on the encoder.  Each coefficient
-    is a sum of float terms w.probs[x] / (k1 k2), or / (2 k1 k2) for sum.
-    Exact mode adds the terms as Fractions, so no coefficient depends on the
-    order its terms come in and renaming the messages permutes the objective
-    exactly; a float sum coefficient can differ from its renamed twin by
-    rounding.
+    is a sum of terms w.probs[x] / (k1 k2), or / (2 k1 k2) for sum.  Float
+    mode divides and adds in float, so a sum coefficient can differ from its
+    renamed twin by rounding.  Exact mode converts the channel entries to
+    Fractions first, so every coefficient is the exact rational sum and
+    renaming the messages permutes the objective exactly.
     """
     k1, k2 = enc.shape
     n1, n2 = w.out1_size, w.out2_size
     n = k1 * k2 * n1 * n2
     v = np.arange(n).reshape(k1, k2, n1, n2)
     c = np.full(n, Fraction(0), dtype=object) if exact else np.zeros(n)
-    cast = _to_fraction if exact else np.asarray
     sent = w.probs[enc]   # (i1, i2, y1, y2)
+    if exact:
+        sent = _to_fraction(sent)
     if objective == "joint":
-        np.add.at(c, v, cast(sent / (k1 * k2)))
+        np.add.at(c, v, sent / (k1 * k2))
     elif objective == "sum":
         # Cell (i1, i2, y1, y2) adds its weight to v[i1, j2, y1, y2] for each
         # j2, then to v[j1, i2, y1, y2] for each j1; np.add.at keeps that
@@ -244,7 +245,7 @@ def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str,
         by_j2 = np.broadcast_to(v.transpose(0, 2, 3, 1)[:, None], (k1, k2, n1, n2, k2))
         by_j1 = np.broadcast_to(v.transpose(1, 2, 3, 0)[None], (k1, k2, n1, n2, k1))
         np.add.at(c, np.concatenate([by_j2, by_j1], axis=-1),
-                  cast(sent / (2 * k1 * k2))[..., None])
+                  (sent / (2 * k1 * k2))[..., None])
     else:
         raise ValidationError(f"unknown objective {objective!r}")
     return c

@@ -4,9 +4,9 @@ Models are maximization problems over variables with lower bounds (zero by
 default), dense constraint rows, and relations <=, =, >=.  lp_solve picks one
 tableau class per solve, and everything that differs between the numeric
 modes lives in it: _Tableau works in float64 with small tolerances and
-guards against drift, _ExactTableau works in Fractions (inputs converted
-exactly from their binary float representation) with zero tolerances and
-updates only nonzeros.  Phase 1, Bland's rule and the ratio test are shared.
+guards against drift, _ExactTableau works in Fractions (float inputs
+converted exactly from their binary representation, an objective given as
+Fractions used as it is) with zero tolerances and updates only nonzeros.  Phase 1, Bland's rule and the ratio test are shared.
 
 Phase 1 depends only on the constraints (rows, relations, right-hand side,
 lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
@@ -54,7 +54,11 @@ _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 @dataclass
 class LpModel:
-    """max objective . x  subject to  rows[i] . x (rel_i) rhs[i],  x >= lower_bounds."""
+    """max objective . x  subject to  rows[i] . x (rel_i) rhs[i],  x >= lower_bounds.
+
+    Every array is stored as float64, except an objective of Fractions (an
+    object array), which an exact solve uses as it is.
+    """
 
     num_vars: int
     objective: np.ndarray
@@ -66,7 +70,8 @@ class LpModel:
     row_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
+        objective = np.asarray(self.objective)
+        self.objective = objective if objective.dtype == object else objective.astype(float)
         self.rows = np.asarray(self.rows, dtype=float).reshape(-1, self.num_vars)
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.objective.shape != (self.num_vars,):

@@ -72,8 +72,8 @@ def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
 
     Returns the value and the first encoder, in lexicographic order, that
     strictly beats every earlier one.  Exact mode builds each objective by
-    loops, adding the program's float terms w[x] / (k1 k2) (or / (2 k1 k2)
-    for sum) as Fractions.
+    loops from the exact terms Fraction(w[x]) / (k1 k2), or / (2 k1 k2) for
+    sum.
     """
     from dataclasses import replace
     from fractions import Fraction
@@ -88,11 +88,11 @@ def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
         if exact:
             c = np.full((k1, k2, n1, n2), Fraction(0), dtype=object)
             for i1, i2, y1, y2 in itertools.product(range(k1), range(k2), range(n1), range(n2)):
-                p = float(w.probs[enc[i1, i2], y1, y2])
+                p = Fraction(float(w.probs[enc[i1, i2], y1, y2]))
                 if objective == "joint":
-                    c[i1, i2, y1, y2] += Fraction(p / (k1 * k2))
+                    c[i1, i2, y1, y2] += p / (k1 * k2)
                 else:
-                    term = Fraction(p / (2 * k1 * k2))
+                    term = p / (2 * k1 * k2)
                     c[i1, :, y1, y2] += term   # receiver 1 decodes i1
                     c[:, i2, y1, y2] += term   # receiver 2 decodes i2
             model = replace(model, objective=c.ravel())

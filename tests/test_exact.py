@@ -1,6 +1,7 @@
 """Exact solver tests against definition-level and brute-force oracles."""
 
 import importlib
+import math
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -33,7 +34,7 @@ from bcc import (
     sum_success,
     validate_channel,
 )
-from bcc.exact import _assignment_rows
+from bcc.exact import _assignment_rows, _is_orbit_min
 from bcc.nsprograms import build_decoder_box_lp
 from bcc.simplex import lp_solve
 from oracles import best_code_bruteforce, dqg_bruteforce, ns_dec_by_all_encoders, success_by_loops
@@ -377,3 +378,44 @@ def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
     assert spans.encoder_orbits(3, 2, 2) == 27
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(random_channel(3, 2, 2, seed=0), 2, 2, cap=80)
+
+
+def test_orbit_filter_keeps_the_smallest_of_each_orbit():
+    for nx, k1, k2 in ((3, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 1, 3)):
+        for flat in product(range(nx), repeat=k1 * k2):
+            grid = tuple(flat[i * k2:(i + 1) * k2] for i in range(k1))
+            assert _is_orbit_min(flat, k1, k2) == (grid == min(orbit(grid)))
+
+
+@pytest.mark.parametrize("nx, k1, k2", [(1, 1, 12), (2, 1, 12), (2, 12, 1)])
+def test_ns_dec_lopsided_grid(monkeypatch, nx, k1, k2):
+    # With one side of the grid a single message, an orbit is a multiset of
+    # k1 k2 inputs; the filter must not walk the 12! permutations of the
+    # other side.
+    calls = []
+
+    def counting_lp_solve(model, exact=False):
+        calls.append(exact)
+        return lp_solve(model, exact=exact)
+
+    monkeypatch.setattr("bcc.exact.lp_solve", counting_lp_solve)
+    w = random_channel(nx, 2, 2, seed=k1)
+    report = solve_ns_dec(w, k1, k2, "joint")
+    assert len(calls) == math.comb(nx + k1 * k2 - 1, k1 * k2)
+    assert report.enumerated == nx ** (k1 * k2)
+    flat = sum(report.witness, ())
+    assert flat == tuple(sorted(flat))
+    assert lp_solve(build_decoder_box_lp(w, report.witness, k1, k2, "joint")).value == report.value
+
+
+@pytest.mark.parametrize("k1, k2", [(2, 3), (1, 3), (3, 1)])
+def test_ns_dec_exact_value_is_rational_of_the_channel(k1, k2):
+    # Entries in 16ths: the exact decoder-box optimum has a denominator
+    # dividing 16 k1 k2 (joint) or 32 k1 k2 (sum), with no float rounding of
+    # w / (k1 k2) left in it.  The sum optimum is the plain-code sum success.
+    w = random_dyadic_channel(2, 2, 3, seed=6, denominator=16)
+    joint = solve_ns_dec(w, k1, k2, "joint", exact=True).value
+    total = solve_ns_dec(w, k1, k2, "sum", exact=True).value
+    assert (joint * 16 * k1 * k2).denominator == 1
+    assert (total * 32 * k1 * k2).denominator == 1
+    assert abs(total - best_code_bruteforce(w, k1, k2, "sum")) <= 1e-12
