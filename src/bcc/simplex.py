@@ -6,7 +6,8 @@ tableau class per solve, and everything that differs between the numeric
 modes lives in it: _Tableau works in float64 with small tolerances and
 guards against drift, _ExactTableau works in Fractions (float inputs
 converted exactly from their binary representation, an objective given as
-Fractions used as it is) with zero tolerances and updates only nonzeros.  Phase 1, Bland's rule and the ratio test are shared.
+Fractions used as it is) with zero tolerances and updates only nonzeros.
+Phase 1, Bland's rule and the ratio test are shared.
 
 Phase 1 depends only on the constraints (rows, relations, right-hand side,
 lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
