@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from bcc import approximate_dqg, random_bipartite_graph, solve_dqg
+from bcc.approx import DEFAULT_NUM_SAMPLES
 
 CERTIFIED = 0.5 * (1.0 - 1.0 / math.e) ** 2
 
@@ -26,8 +27,9 @@ def main(argv=None) -> int:
     parser.add_argument("--k1", type=int, default=2, help="left parts")
     parser.add_argument("--k2", type=int, default=2, help="right parts")
     parser.add_argument("--density", type=float, default=0.4)
-    parser.add_argument("--samples", type=int, default=64,
-                        help="random left partitions sampled per instance")
+    parser.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES,
+                        help="random left partitions sampled per instance "
+                             "(default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

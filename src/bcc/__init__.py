@@ -57,7 +57,6 @@ from .graphs import (
 )
 from .approx import (
     ApproxResult,
-    approximate_detbcc,
     approximate_dqg,
     degree_upper_bound,
     derandomize_left,

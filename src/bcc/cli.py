@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .approx import approximate_dqg, degree_upper_bound
+from .approx import DEFAULT_NUM_SAMPLES, approximate_dqg, degree_upper_bound
 from .channels import (
     DEFAULT_ENTRY_CAP,
     DeterministicChannel,
@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES,
+                   help="uniform random left partitions scored against the "
+                        "derandomized one (default: %(default)s)")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("hardness", parents=[common],

@@ -20,7 +20,7 @@ before it is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -107,16 +107,7 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel
          [f"slack_x{x}_a{a}_b{b}" for x, a, b in cells]),
     ]
 
-    c = np.zeros(n)
-    if objective == "joint":
-        c[r] = w.probs / (k1 * k2)
-    elif objective == "sum":
-        w1, w2 = marginals(w)
-        c[r1] = w1.probs / (2 * k1 * k2)
-        c[r2] = w2.probs / (2 * k1 * k2)
-    else:
-        raise ValidationError(f"unknown objective {objective!r}")
-
+    c = _compact_objective(w, k1, k2, objective)
     names = ([f"p_x{x}" for x in range(nx)]
              + [f"r_x{x}_a{a}_b{b}" for x, a, b in cells]
              + [f"r1_x{x}_a{a}" for x, a in pairs1]
@@ -124,6 +115,30 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel
     rows, rels, rhs = _assemble(n, [f[:3] for f in families], DEFAULT_ENTRY_CAP)
     return LpModel(n, c, rows, rels, rhs, var_names=tuple(names),
                    row_names=tuple(name for f in families for name in f[3]))
+
+
+def _compact_objective(w: ChannelTable, k1: int, k2: int, objective: str,
+                       exact: bool = False) -> np.ndarray:
+    """Objective of the compact program: w.probs / (k1 k2) on the r block for
+    joint, the marginals / (2 k1 k2) on the r1 and r2 blocks for sum.
+
+    Float mode divides (and sums the marginals) in float, so a coefficient
+    is rounded unless k1 k2 is a power of two and the entries are dyadic.
+    Exact mode converts the channel entries to Fractions first, so every
+    coefficient is the exact rational one of the channel.
+    """
+    nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
+    _, r, r1, r2, n = _compact_index(nx, n1, n2)
+    c = np.full(n, Fraction(0), dtype=object) if exact else np.zeros(n)
+    probs = _to_fraction(w.probs) if exact else w.probs
+    if objective == "joint":
+        c[r] = probs / (k1 * k2)
+    elif objective == "sum":
+        c[r1] = probs.sum(axis=2) / (2 * k1 * k2)   # the marginals W1, W2
+        c[r2] = probs.sum(axis=1) / (2 * k1 * k2)
+    else:
+        raise ValidationError(f"unknown objective {objective!r}")
+    return c
 
 
 def build_ns_joint(w: ChannelTable, k1: int, k2: int) -> LpModel:
@@ -328,8 +343,15 @@ def reconstruct_full_box(ns: NsSolution, k1: int, k2: int) -> np.ndarray:
 
 def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
              exact: bool = False) -> NsSolution:
-    """Build the compact program, solve it, and return the checked solution."""
+    """Build the compact program, solve it, and return the checked solution.
+
+    Exact mode solves the program with the channel's exact rational
+    objective, not the float-rounded one the built model carries.
+    """
     build = build_ns_joint if objective == "joint" else build_ns_sum
     if objective not in ("joint", "sum"):
         raise ValidationError(f"unknown objective {objective!r}")
-    return extract_ns_solution(w, k1, k2, lp_solve(build(w, k1, k2), exact=exact))
+    model = build(w, k1, k2)
+    if exact:
+        model = replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))
+    return extract_ns_solution(w, k1, k2, lp_solve(model, exact=exact))

@@ -12,9 +12,9 @@ from bcc import (
     DeterministicChannel,
     Partition,
     SideMismatchError,
-    approximate_detbcc,
     approximate_dqg,
     channel_graph,
+    code_from_partitions,
     degree_upper_bound,
     derandomize_left,
     distinct_left_neighbors,
@@ -33,6 +33,7 @@ from bcc import (
     to_deterministic,
     upper_bound_right,
 )
+from bcc import approx
 from oracles import dqg_bruteforce, welfare_bruteforce
 
 HALF_ONE_MINUS_INV_E_SQ = 0.5 * (1.0 - 1.0 / math.e) ** 2
@@ -40,9 +41,8 @@ HALF_ONE_MINUS_INV_E_SQ = 0.5 * (1.0 - 1.0 / math.e) ** 2
 BLACKWELL = DeterministicChannel(3, 2, 2, ((0, 0), (0, 1), (1, 1))).to_table()
 
 
-def naive_greedy(g, k1, k2, order=None):
+def naive_greedy(g, k1, k2):
     """Reference greedy: recompute every marginal gain at each step."""
-    order = tuple(range(g.right_size)) if order is None else tuple(order)
 
     def value(mask):
         return min(k1, mask.bit_count())
@@ -55,11 +55,11 @@ def naive_greedy(g, k1, k2, order=None):
     for _ in range(g.right_size):
         best_key, best_move = None, None
         for b in range(k2):
-            for pos, item in enumerate(order):
+            for item in range(g.right_size):
                 if assignment[item] >= 0:
                     continue
                 gain = value(bundles[b] | left_masks[item]) - value(bundles[b])
-                key = (-gain, b, pos)
+                key = (-gain, b, item)
                 if best_key is None or key < best_key:
                     best_key, best_move = key, (b, item)
         b, item = best_move
@@ -107,8 +107,6 @@ def test_lazy_greedy_matches_naive():
         g = random_bipartite_graph(v1, v2, 0.6, seed=int(rng.integers(10**6)))
         k1, k2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         assert greedy_welfare(g, k1, k2) == naive_greedy(g, k1, k2)
-        order = tuple(int(v) for v in rng.permutation(v2))
-        assert greedy_welfare(g, k1, k2, order) == naive_greedy(g, k1, k2, order)
 
 
 def test_greedy_matches_naive_at_edges():
@@ -125,9 +123,6 @@ def test_greedy_matches_naive_at_edges():
     ]
     for g, k1, k2 in cases:
         assert greedy_welfare(g, k1, k2) == naive_greedy(g, k1, k2)
-        for _ in range(2):
-            order = tuple(int(v) for v in rng.permutation(g.right_size))
-            assert greedy_welfare(g, k1, k2, order) == naive_greedy(g, k1, k2, order)
 
 
 def test_greedy_welfare_half_approximation():
@@ -191,7 +186,9 @@ def test_approximate_dqg_matches_golden():
     """Results pinned from an earlier implementation: a changed greedy
     tie-break or sampling stream moves a value or an assignment.  The
     Blackwell cases end below their bound with the derandomized left
-    partition, so they pin its tie choices."""
+    partition, so they pin its tie choices.  Each case runs with its pinned
+    sample count, then with the default (no samples), which must give the
+    same partitions and value."""
     data = Path(__file__).parent / "data" / "approx_golden.json"
     for case in json.loads(data.read_text()):
         spec = case["graph"]
@@ -201,11 +198,37 @@ def test_approximate_dqg_matches_golden():
             g = channel_graph(to_deterministic(tensor_power(BLACKWELL, *spec["args"])))
         else:
             g = channel_graph(random_deterministic_channel(*spec["args"], seed=spec["seed"]))
-        res = approximate_dqg(g, *case["k"], seed=case["seed"])
+        res = approximate_dqg(g, *case["k"], seed=case["seed"],
+                              num_samples=case["samples_used"])
         assert (res.value, res.upper_bound, res.samples_used) == (
             case["value"], case["upper_bound"], case["samples_used"])
         assert list(res.p1.assignment) == case["p1"]
         assert list(res.p2.assignment) == case["p2"]
+        default = approximate_dqg(g, *case["k"], seed=case["seed"])
+        assert (default.value, default.upper_bound, default.samples_used) == (
+            case["value"], case["upper_bound"], 0)
+        assert default.p1 == res.p1 and default.p2 == res.p2
+
+
+def test_default_approximation_does_only_the_guaranteed_work(monkeypatch):
+    """One greedy, one quotient count of the derandomized partition, and no
+    samples; asking for samples scores them and still runs one greedy."""
+    calls = {"greedy_welfare": 0, "quotient_edge_count": 0, "_sample_chunk": 0}
+    for name in calls:
+        real = getattr(approx, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(approx, name, counted)
+    g = channel_graph(random_deterministic_channel(60, 30, 30, seed=73))
+    res = approximate_dqg(g, 3, 4, seed=2)
+    assert calls == {"greedy_welfare": 1, "quotient_edge_count": 1, "_sample_chunk": 0}
+    assert res.samples_used == 0
+    sampled = approximate_dqg(g, 3, 4, seed=2, num_samples=8)
+    assert calls["greedy_welfare"] == 2 and calls["_sample_chunk"] == 1
+    assert sampled.samples_used == 8 and sampled.value >= res.value
 
 
 def test_singleton_fast_paths():
@@ -227,10 +250,11 @@ def test_negative_num_samples_rejected():
     assert approximate_dqg(g, 3, 3, num_samples=0).samples_used == 0
 
 
-def test_approximate_detbcc_consistency():
+def test_approximation_code_matches_joint_success():
     dc = random_deterministic_channel(6, 4, 4, seed=71)
-    code, value = approximate_detbcc(dc, 2, 2, seed=5)
-    assert joint_success(dc.to_table(), code) == pytest.approx(value, abs=1e-12)
+    res = approximate_dqg(channel_graph(dc), 2, 2, seed=5)
+    code = code_from_partitions(dc, res.p1, res.p2)
+    assert joint_success(dc.to_table(), code) == pytest.approx(res.value / 4, abs=1e-12)
 
 
 def test_parameter_validation():
@@ -245,7 +269,5 @@ def test_parameter_validation():
         exact_expected_edges(g, 0, singleton_partition(2, 2))
     with pytest.raises(BadParametersError):
         derandomize_left(g, 0, singleton_partition(2, 2))
-    with pytest.raises(BadParametersError):
-        greedy_welfare(g, 2, 2, item_order=(0, 0))
     with pytest.raises(SideMismatchError):
         exact_expected_edges(g, 2, singleton_partition(3, 3))

@@ -371,6 +371,20 @@ def test_cli_approx_rejects_negative_samples(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_approx_samples_only_on_request(tmp_path, capsys):
+    path = write_channel(tmp_path, random_deterministic_channel(60, 20, 20, seed=4))
+    reports = []
+    for extra in ((), ("--samples", "8")):
+        code, out, err = run_cli(capsys, "approx", str(path), "--k1", "3", "--k2", "3",
+                                 "--verify", *extra)
+        assert (code, err) == (0, "")
+        reports.append(report_from(out))
+    default, sampled = reports
+    assert default["provenance"]["samples"] == 0
+    assert sampled["provenance"]["samples"] == 8
+    assert sampled["quantities"]["approx_value"] >= default["quantities"]["approx_value"]
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolationError("optimal point violates a constraint")

@@ -319,3 +319,17 @@ def test_exact_mode_returns_fraction_and_matches_float():
             assert exact.pivots == approx.pivots
             assert approx.assignment == pytest.approx(
                 exact.assignment.astype(float), abs=1e-9)
+
+
+@pytest.mark.parametrize("k1, k2, joint, total", [
+    (2, 3, Fraction(7, 32), Fraction(89, 192)),
+    (1, 3, Fraction(5, 12), Fraction(17, 24)),
+    (3, 1, Fraction(17, 48), Fraction(65, 96)),
+])
+def test_exact_compact_value_is_rational_of_the_channel(k1, k2, joint, total):
+    # Entries in 16ths and k1 k2 not a power of two, so w / (k1 k2) rounds in
+    # float: exact mode must solve the channel's own rational program.
+    w = random_dyadic_channel(2, 2, 3, seed=6, denominator=16)
+    assert solve_ns(w, k1, k2, "joint", exact=True).value == joint
+    assert solve_ns(w, k1, k2, "sum", exact=True).value == total
+    assert solve_ns(w, k1, k2, "joint").value == pytest.approx(float(joint), abs=1e-12)
