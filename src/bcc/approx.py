@@ -204,8 +204,8 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     """
     if k1 < 1 or k2 < 1:
         raise BadParametersError("need k1 >= 1 and k2 >= 1")
-    if num_samples < 0:
-        raise BadParametersError("num_samples must be >= 0")
+    if num_samples < 0 or seed < 0:
+        raise BadParametersError("num_samples and seed must be >= 0")
 
     if k2 >= g.right_size:
         p2 = singleton_partition(g.right_size, k2)

@@ -33,6 +33,7 @@ from .channels import (
     to_deterministic,
 )
 from .errors import (
+    BadParametersError,
     EnumerationCapExceededError,
     InfeasibleError,
     InvariantViolationError,
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(args.check_tol):
+            raise BadParametersError("--check-tol must be finite")
         report = args.func(args)
     except (SizeCapExceededError, EnumerationCapExceededError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

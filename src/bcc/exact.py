@@ -3,10 +3,11 @@
 Joint success, sum success and the densest quotient all run through one
 kernel, _enumerate_decoders.  It is fed a cell table per input: entry
 [s1, s2] is what that input earns in a message cell whose decoders map
-exactly the output subsets s1 and s2 to it.  Joint success passes subset-pair
-sums of each W(., .|x), sum success the average of the two marginal subset
-sums, and the densest quotient a single 0/1 table saying whether any edge
-joins s1 to s2.  A running maximum over inputs gives the best input per
+exactly the output subsets s1 and s2 to it.  Each is a product with m1 and
+m2, the 0/1 matrices _members(|Y1|), _members(|Y2|) whose row s marks the
+outputs in subset s: m1 @ W(., .|x) @ m2.T for joint success, the average of
+W1 @ m1.T and W2 @ m2.T for sum success, and (m1 @ adj @ m2.T) > 0 for the
+densest quotient.  A running maximum over inputs gives the best input per
 subset pair.  Renaming the messages of a decoder changes no value, so the
 kernel then scores one decoder per set partition of each output alphabet
 into at most k parts, its restricted-growth string, with k1*k2 lookups per
@@ -45,7 +46,7 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
-from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel, marginals
+from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
 from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
 from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
@@ -113,30 +114,16 @@ def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
 def sum_success(w: ChannelTable, code: Code) -> float:
     """Average of the two receivers' individual success probabilities."""
     enc = _check_code(w, code)
-    w1, w2 = marginals(w)
-    m1 = w1.probs @ _onehot(code.decoder1, code.k1)
-    m2 = w2.probs @ _onehot(code.decoder2, code.k2)
+    m1 = w.probs.sum(axis=2) @ _onehot(code.decoder1, code.k1)
+    m2 = w.probs.sum(axis=1) @ _onehot(code.decoder2, code.k2)
     i1, i2 = np.indices((code.k1, code.k2))
     total = m1[enc, i1].sum() + m2[enc, i2].sum()
     return float(total / (2 * code.k1 * code.k2))
 
 
-def _subset_sums(mat: np.ndarray) -> np.ndarray:
-    """Sum over subsets of the last axis: out[..., s] = sum of mat[..., b] for b in s."""
-    nb = mat.shape[-1]
-    out = np.zeros(mat.shape[:-1] + (1 << nb,))
-    # Highest bit first: out[t + 2^j] = out[t] + mat[j] for every subset t of
-    # the bits above j, so each sum adds its bits from the highest down.
-    for j in range(nb - 1, -1, -1):
-        step = 2 << j
-        out[..., 1 << j::step] = out[..., ::step] + mat[..., j:j + 1]
-    return out
-
-
-def _pair_subset_table(mat: np.ndarray) -> np.ndarray:
-    """out[s1, s2] = sum of mat[a, b] over a in s1, b in s2."""
-    over_b = _subset_sums(mat)                # (A, 2^B)
-    return _subset_sums(over_b.T).T           # (2^A, 2^B)
+def _members(n: int) -> np.ndarray:
+    """(2^n, n) 0/1 matrix: row s marks the items of subset s, bit b for item b."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
 
 
 def _assignment_rows(num_items: int, num_parts: int) -> np.ndarray:
@@ -201,9 +188,11 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
     """Best decoder pair given one cell table per input, as the module docstring defines.
 
     cell_tables is consumed only after both caps pass, so it should be a
-    generator.  Returns the best total over all decoder pairs, the two
-    decoder assignments (restricted-growth strings), the encoder (best input
-    per message cell) and the number of labelled candidates, k1^n1 * k2^n2.
+    generator that builds its membership matrices (_members) on its first
+    step: then nothing of size 2^|Y| exists before the caps are checked.
+    Returns the best total over all decoder pairs, the two decoder assignments
+    (restricted-growth strings), the encoder (best input per message cell)
+    and the number of labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
     candidates = k1**n1 * k2**n2
@@ -238,15 +227,20 @@ def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_tables) -> Sol
     return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), candidates)
 
 
+def _joint_cell_tables(w: ChannelTable):
+    m1, m2 = _members(w.out1_size), _members(w.out2_size)
+    for px in w.probs:
+        yield m1 @ px @ m2.T
+
+
 def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Best deterministic code for joint success, by decoder enumeration."""
-    return _solve_code(w, k1, k2, cap, (_pair_subset_table(px) for px in w.probs))
+    return _solve_code(w, k1, k2, cap, _joint_cell_tables(w))
 
 
 def _sum_cell_tables(w: ChannelTable):
-    w1, w2 = marginals(w)
-    g1 = _subset_sums(w1.probs)  # (|X|, 2^|Y1|)
-    g2 = _subset_sums(w2.probs)
+    g1 = w.probs.sum(axis=2) @ _members(w.out1_size).T  # (|X|, 2^|Y1|)
+    g2 = w.probs.sum(axis=1) @ _members(w.out2_size).T
     for x in range(w.input_size):
         yield 0.5 * (g1[x][:, None] + g2[x][None, :])
 
@@ -259,7 +253,7 @@ def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) ->
 def _quotient_cell_table(g: BipartiteGraph):
     adj = np.zeros((g.left_size, g.right_size))
     adj[g.edge_arrays] = 1.0
-    yield (_pair_subset_table(adj) > 0).astype(float)
+    yield ((_members(g.left_size) @ adj @ _members(g.right_size).T) > 0).astype(float)
 
 
 def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:

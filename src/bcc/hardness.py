@@ -75,6 +75,8 @@ def build_instance(k1: int, delta: float = DEFAULT_DELTA, seed: int = 0) -> Hard
         raise BadParametersError("k1 must be an integer >= 2")
     if not (math.isfinite(delta) and delta > 0):
         raise BadParametersError("delta must be positive and finite")
+    if seed < 0:
+        raise BadParametersError("seed must be >= 0")
     m = k1 * k1
     blocks = random_equipartition(m, k1, seed)
     return HardnessInstance(k1, float(delta), m, blocks, seed)

@@ -263,6 +263,10 @@ def test_parameter_validation():
         greedy_welfare(g, 0, 2)
     with pytest.raises(BadParametersError):
         approximate_dqg(g, 0, 2)
+    # A negative seed is rejected up front, also where it would draw nothing.
+    for num_samples in (2, 0):
+        with pytest.raises(BadParametersError):
+            approximate_dqg(g, 1, 1, seed=-1, num_samples=num_samples)
     with pytest.raises(BadParametersError):
         random_left_partition(g, 0, np.random.default_rng(0))
     with pytest.raises(BadParametersError):

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcc.exact
 from bcc import (
     BadParametersError,
     Code,
@@ -34,6 +37,7 @@ from bcc import (
     sum_success,
     validate_channel,
 )
+from bcc.channels import DEFAULT_ENTRY_CAP
 from bcc.exact import _assignment_rows, _is_orbit_min
 from bcc.nsprograms import build_decoder_box_lp
 from bcc.simplex import lp_solve
@@ -195,7 +199,7 @@ def test_solver_is_deterministic():
     assert first.witness == second.witness
 
 
-def test_enumeration_caps():
+def test_enumeration_caps(monkeypatch):
     w = random_channel(2, 3, 3, seed=0)
     with pytest.raises(EnumerationCapExceededError):
         solve_joint(w, 2, 2, cap=10)
@@ -203,6 +207,30 @@ def test_enumeration_caps():
         solve_joint(random_channel(1, 14, 14, seed=0), 1, 1)
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(w, 2, 2, cap=3)
+
+    # The caps come before any subset table: with 40 outputs on one side,
+    # each would have 2^40 rows.
+    real_members = bcc.exact._members
+
+    def members(n):
+        assert 1 << n <= DEFAULT_ENTRY_CAP, f"subset matrix of 2^{n} rows built"
+        return real_members(n)
+
+    monkeypatch.setattr(bcc.exact, "_members", members)
+    w = random_channel(1, 40, 2, seed=0)
+    g = make_graph(40, 2, [(0, 0), (39, 1)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for solve, arg in ((solve_joint, w), (solve_sum, w), (solve_dqg, g)):
+            with pytest.raises(SizeCapExceededError):
+                solve(arg, 1, 1)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_message_counts_below_one_rejected():

@@ -55,6 +55,8 @@ def test_build_instance_validation():
         with pytest.raises(BadParametersError):
             build_instance(3, delta=delta)
     with pytest.raises(BadParametersError):
+        build_instance(3, seed=-1)
+    with pytest.raises(BadParametersError):
         random_equipartition(7, 2, 0)
 
 

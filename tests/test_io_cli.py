@@ -371,6 +371,27 @@ def test_cli_approx_rejects_negative_samples(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_rejects_negative_seeds(tmp_path, capsys):
+    path = write_channel(tmp_path, random_deterministic_channel(30, 8, 8, seed=0), "det.json")
+    for argv in (("hardness", "--k1", "3", "--seed", "-1"),
+                 ("approx", str(path), "--k1", "2", "--k2", "2", "--seed", "-1",
+                  "--samples", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_rejects_non_finite_check_tol(tmp_path, capsys):
+    path = perfect_file(tmp_path)
+    for tol in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                                 "--which", "joint", "--verify", f"--check-tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_approx_samples_only_on_request(tmp_path, capsys):
     path = write_channel(tmp_path, random_deterministic_channel(60, 20, 20, seed=4))
     reports = []
