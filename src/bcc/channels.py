@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import BipartiteGraph, distinct_values
+from .graphs import BipartiteGraph, _check_cap, distinct_values
 
 NORMALIZATION_TOL = 1e-9
 POINT_MASS_TOL = 1e-12
@@ -149,6 +149,7 @@ def tensor_power(w: ChannelTable, n: int, cap: int = DEFAULT_ENTRY_CAP) -> Chann
     """
     if n < 1:
         raise ValidationError("tensor power needs n >= 1")
+    _check_cap(cap)
     entries = (w.input_size * w.out1_size * w.out2_size) ** n
     if entries > cap:
         raise SizeCapExceededError(entries, cap)

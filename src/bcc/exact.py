@@ -48,7 +48,7 @@ import numpy as np
 
 from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
-from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition
+from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition, _check_cap
 from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
 from .simplex import lp_solve
 
@@ -195,6 +195,7 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
     and the number of labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
+    _check_cap(cap)
     candidates = k1**n1 * k2**n2
     if candidates > cap:
         raise EnumerationCapExceededError(candidates, cap)
@@ -309,6 +310,7 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     once for all of them (and for a following call with the other objective).
     """
     _check_k(k1, k2)
+    _check_cap(cap)
     nx = w.input_size
     candidates = nx ** (k1 * k2)
     if candidates > cap:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParametersError,
     BadPartIndexError,
     EnumerationCapExceededError,
     SideMismatchError,
@@ -24,6 +25,12 @@ from .errors import (
 )
 
 DEFAULT_ENUM_CAP = 10**7
+
+
+def _check_cap(cap: int) -> None:
+    """Refuse a negative size or enumeration cap; zero is a cap every run exceeds."""
+    if cap < 0:
+        raise BadParametersError(f"cap must be >= 0, got {cap}")
 
 
 def distinct_values(a: np.ndarray) -> np.ndarray:
@@ -180,6 +187,7 @@ def enumerate_partitions(ground_size: int, num_parts: int, cap: int = DEFAULT_EN
     Streams in lexicographic order of the assignment tuple; refuses upfront
     when num_parts ** ground_size exceeds the cap.
     """
+    _check_cap(cap)
     total = num_parts**ground_size
     if total > cap:
         raise EnumerationCapExceededError(total, cap)

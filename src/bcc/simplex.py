@@ -3,11 +3,12 @@
 Models are maximization problems over variables with lower bounds (zero by
 default), dense constraint rows, and relations <=, =, >=.  lp_solve picks one
 tableau class per solve, and everything that differs between the numeric
-modes lives in it: _Tableau works in float64 with small tolerances and
-guards against drift, _ExactTableau works in Fractions (float inputs
-converted exactly from their binary representation, an objective given as
-Fractions used as it is) with zero tolerances and updates only nonzeros.
-Phase 1, Bland's rule and the ratio test are shared.
+modes lives in it: _Tableau works in float64 on a column-major tableau with
+small tolerances and guards against drift, _ExactTableau works in Fractions
+(float inputs converted exactly from their binary representation, an
+objective given as Fractions used as it is) with zero tolerances.  Both
+update only the columns where the pivot row is nonzero.  Phase 1, Bland's
+rule and the ratio test are shared.
 
 Phase 1 depends only on the constraints (rows, relations, right-hand side,
 lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
@@ -136,12 +137,21 @@ def _constraint_key(model: LpModel, exact: bool) -> tuple:
 class _Tableau:
     """Float tableau: rows [A | rhs] in float64, the basis, and the pivots taken.
 
-    A pivot is one dense numpy update: its cost is numpy call overhead, not
-    arithmetic, and gathering the nonzeros would add calls.  Against float
-    drift the right-hand side is clipped at zero after each pivot.
+    The tableau is column-major (Fortran order) from its build in phase 1
+    to the copy each solve pivots, so a column is contiguous: the ratio test
+    reads one, and a pivot gathers whole columns.  A pivot's rank-1 update
+    runs only over the columns where the normalised pivot row is nonzero;
+    pivot rows are mostly zeros on the programs the toolkit builds.  A
+    skipped entry would have become x - c * 0.0 == x, so values, vertices
+    and pivot counts are those of the dense update; only the sign of a zero
+    can differ, and no comparison sees it.  The reduced costs are one
+    reduction over the cost and the scaled basic rows, subtracted in row
+    order as a loop would.  Against float drift the right-hand side is
+    clipped at zero after each pivot.
     """
 
     scalar, dtype, zero, one = float, float, 0.0, 1.0
+    order = "F"
     to_array = partial(np.array, dtype=float)
     pivot_tol, feas_tol, check_tol = PIVOT_TOL, FEAS_TOL, CHECK_TOL
 
@@ -154,7 +164,8 @@ class _Tableau:
         col = T[:, q].copy()
         col[p] = 0.0
         T[p] = T[p] / T[p, q]
-        T -= np.outer(col, T[p])
+        cols = T[p].nonzero()[0]
+        T[:, cols] -= col[:, None] * T[p, cols]
         T[:, q] = 0.0
         T[p, q] = 1.0
         self.basis[p] = q
@@ -165,11 +176,9 @@ class _Tableau:
         r -= coef * self.T[i, :-1]
 
     def reduced_costs(self, cost):
-        r = cost.copy()
         basic_cost = cost[self.basis]
-        for i in np.flatnonzero(basic_cost != self.zero):
-            self.subtract_row(r, basic_cost[i], i)
-        return r
+        rows = np.flatnonzero(basic_cost)
+        return np.subtract.reduce(np.vstack([cost, basic_cost[rows, None] * self.T[rows, :-1]]))
 
     def entering(self, r) -> int:
         """Lowest index with positive reduced cost, or -1 at an optimum."""
@@ -220,14 +229,16 @@ class _Tableau:
 class _ExactTableau(_Tableau):
     """Exact tableau: object arrays of Fractions and zero tolerances.
 
-    A row update (the pivot, the reduced-cost update) touches only the
-    nonzeros of the pivot row and column.  The skipped terms are exact
-    zeros, so values, vertices and pivot counts are those of the dense
-    update, and most Fraction products are never formed.  The ratio test
-    keeps the right-hand side nonnegative, so nothing is clipped.
+    The tableau is row-major.  A row update (the pivot, the reduced-cost
+    update) touches only the nonzeros of the pivot row and column.  The
+    skipped terms are exact zeros, so values, vertices and pivot counts are
+    those of the dense update, and most Fraction products are never formed.
+    The ratio test keeps the right-hand side nonnegative, so nothing is
+    clipped.
     """
 
     scalar, dtype, zero, one = Fraction, object, Fraction(0), Fraction(1)
+    order = "C"
     to_array = _to_fraction
     pivot_tol = feas_tol = check_tol = 0
 
@@ -247,6 +258,13 @@ class _ExactTableau(_Tableau):
         row = self.T[i, :-1]
         cols = np.flatnonzero(row)
         r[cols] -= coef * row[cols]
+
+    def reduced_costs(self, cost):
+        r = cost.copy()
+        basic_cost = cost[self.basis]
+        for i in np.flatnonzero(basic_cost != self.zero):
+            self.subtract_row(r, basic_cost[i], i)
+        return r
 
 
 @dataclass(frozen=True)
@@ -294,7 +312,7 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
     art_start = n + slack_rows.size
     ncols = art_start + art_rows.size
     slack_cols, art_cols = np.arange(n, art_start), np.arange(art_start, ncols)
-    T = np.full((m, ncols + 1), zero, dtype=tableau_cls.dtype)
+    T = np.full((m, ncols + 1), zero, dtype=tableau_cls.dtype, order=tableau_cls.order)
     T[:, :n] = A
     T[:, -1] = b
     T[slack_rows, slack_cols] = np.where(le[slack_rows], one, -one)
@@ -319,7 +337,7 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
                 tab.pivot(i, int(nonzero[0]))
             else:
                 kept[i] = False
-    T = T[np.ix_(kept, np.r_[:art_start, ncols])]
+    T = np.asarray(T[np.ix_(kept, np.r_[:art_start, ncols])], order=tableau_cls.order)
     basis = basis[kept]
     T.flags.writeable = basis.flags.writeable = False
     return _Phase1(key, T, basis, tab.pivots, lb)
@@ -346,7 +364,7 @@ def lp_solve(model: LpModel, exact: bool = False,
 
     n, zero, dtype = model.num_vars, tableau_cls.zero, tableau_cls.dtype
     c = tableau_cls.to_array(model.objective)
-    tab = tableau_cls(start.tableau.copy(), start.basis.copy(), start.pivots, max_pivots)
+    tab = tableau_cls(start.tableau.copy(order="K"), start.basis.copy(), start.pivots, max_pivots)
     cost2 = np.full(tab.T.shape[1] - 1, zero, dtype=dtype)
     cost2[:n] = c
     tab.run_phase(cost2, phase=2)

@@ -102,6 +102,31 @@ def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
     return best_val, best_enc
 
 
+def dense_pivot(T: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
+    """Float simplex pivot on (p, q) as one dense rank-1 update of the whole tableau.
+
+    The right-hand side is then clipped at zero, as the package's float
+    tableau does against drift.
+    """
+    col = T[:, q].copy()
+    col[p] = 0.0
+    T[p] = T[p] / T[p, q]
+    T -= np.outer(col, T[p])
+    T[:, q] = 0.0
+    T[p, q] = 1.0
+    basis[p] = q
+    T[:, -1] = np.maximum(T[:, -1], 0.0)
+
+
+def looped_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """cost minus c_B times the tableau, one basic row at a time in row order."""
+    r = cost.copy()
+    basic_cost = cost[basis]
+    for i in np.flatnonzero(basic_cost != 0.0):
+        r -= basic_cost[i] * T[i, :-1]
+    return r
+
+
 def quotient_pair_set(g, p1, p2) -> set:
     """Part pairs (i1, i2) joined by at least one edge, as an explicit set."""
     return {(p1.assignment[u], p2.assignment[v]) for u, v in g.edges()}

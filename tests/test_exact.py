@@ -22,6 +22,7 @@ from bcc import (
     SizeCapExceededError,
     channel_graph,
     code_from_partitions,
+    enumerate_partitions,
     joint_success,
     make_graph,
     quotient_edge_count,
@@ -35,6 +36,7 @@ from bcc import (
     solve_ns_dec,
     solve_sum,
     sum_success,
+    tensor_power,
     validate_channel,
 )
 from bcc.channels import DEFAULT_ENTRY_CAP
@@ -406,6 +408,27 @@ def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
     assert spans.encoder_orbits(3, 2, 2) == 27
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(random_channel(3, 2, 2, seed=0), 2, 2, cap=80)
+
+
+def test_negative_caps_are_bad_parameters():
+    w = random_channel(2, 2, 2, seed=0)
+    g = channel_graph(random_deterministic_channel(3, 2, 2, seed=0))
+    capped = {
+        "solve_joint": lambda cap: solve_joint(w, 2, 2, cap=cap),
+        "solve_sum": lambda cap: solve_sum(w, 2, 2, cap=cap),
+        "solve_dqg": lambda cap: solve_dqg(g, 2, 2, cap=cap),
+        "solve_ns_dec": lambda cap: solve_ns_dec(w, 2, 2, cap=cap),
+        "tensor_power": lambda cap: tensor_power(w, 2, cap=cap),
+        "enumerate_partitions": lambda cap: next(enumerate_partitions(3, 2, cap=cap)),
+    }
+    for name, run in capped.items():
+        for cap in (-1, -5):
+            with pytest.raises(BadParametersError, match="cap must be >= 0"):
+                run(cap)
+        # Zero stays a cap, one that every run exceeds.
+        expected = SizeCapExceededError if name == "tensor_power" else EnumerationCapExceededError
+        with pytest.raises(expected):
+            run(0)
 
 
 def test_orbit_filter_keeps_the_smallest_of_each_orbit():

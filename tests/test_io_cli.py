@@ -382,6 +382,20 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cli_rejects_negative_caps(tmp_path, capsys):
+    path = write_channel(tmp_path, random_channel(2, 2, 2, seed=0))
+    k = ("--k1", "2", "--k2", "2")
+    for argv in (("solve", str(path), *k, "--enum-cap", "-5"),
+                 ("tensor", str(path), *k, "--n", "2", "--entry-cap", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, *argv[:-1], "0")
+        assert code == 3
+        assert out == ""
+
+
 def test_cli_rejects_non_finite_check_tol(tmp_path, capsys):
     path = perfect_file(tmp_path)
     for tol in ("nan", "inf", "-inf"):

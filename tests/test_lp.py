@@ -20,14 +20,17 @@ from bcc import (
     UnboundedError,
     ValidationError,
     build_decoder_box_lp,
+    build_ns_joint,
+    build_ns_sum,
     constraint_violation,
     lp_solve,
     lp_write_text,
     random_channel,
     random_dyadic_channel,
     random_feasible_lp,
+    tensor_power,
 )
-from oracles import lp_vertex_oracle
+from oracles import dense_pivot, looped_reduced_costs, lp_vertex_oracle
 
 
 def test_single_le_row():
@@ -302,3 +305,80 @@ def test_infeasible_model_raises_on_every_call():
             with pytest.raises(InfeasibleError):
                 lp_solve(model, exact=exact)
         assert lp_solve(feasible, exact=exact).value == 2
+
+
+class _Lockstep(bcc.simplex._Tableau):
+    """The float tableau with a row-major shadow that the dense oracle pivots.
+
+    After every pivot the tableau, the basis and the reduced costs of the
+    phase's cost must equal the shadow's bit for bit.
+    """
+
+    def __init__(self, T, basis, pivots, max_pivots):
+        super().__init__(T, basis, pivots, max_pivots)
+        self.shadow, self.shadow_basis = np.array(T, order="C"), basis.copy()
+        self.cost, self.checked = None, 0
+
+    def run_phase(self, cost, phase):
+        self.cost = cost
+        super().run_phase(cost, phase)
+
+    def reduced_costs(self, cost):
+        r = super().reduced_costs(cost)
+        assert np.array_equal(r, looped_reduced_costs(self.shadow, self.shadow_basis, cost))
+        return r
+
+    def pivot(self, p, q):
+        super().pivot(p, q)
+        dense_pivot(self.shadow, self.shadow_basis, p, q)
+        assert self.T.flags.f_contiguous
+        assert np.array_equal(self.T, self.shadow)
+        assert np.array_equal(self.basis, self.shadow_basis)
+        self.reduced_costs(self.cost)
+        self.checked += 1
+
+
+def sparse_tableau(rng, m: int, n: int):
+    """A bounded program as [A | I | b] in the slack basis, b >= 0.
+
+    Most of A is zero, two rows and three columns of it are all zero, and
+    one more row is zero throughout, its slack included.  The last row caps
+    the sum of the variables that the objective rewards.
+    """
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.15)
+    zero_cols = rng.choice(n, 3, replace=False)
+    A[rng.choice(m - 1, 2, replace=False)] = 0.0
+    A[-1] = 1.0
+    A[:, zero_cols] = 0.0
+    T = np.zeros((m, n + m + 1), order="F")
+    T[:, :n], T[:, n:-1], T[:, -1] = A, np.eye(m), rng.random(m) * (rng.random(m) < 0.7)
+    T[rng.integers(m - 1)] = 0.0
+    cost = np.zeros(n + m)
+    cost[:n] = rng.normal(size=n) * (rng.random(n) < 0.6)
+    cost[zero_cols] = 0.0
+    return T, np.arange(n, n + m), cost
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_pivots_match_the_dense_update_on_random_tableaux(seed):
+    T, basis, cost = sparse_tableau(np.random.default_rng(seed), 20 + 2 * seed, 40 + 4 * seed)
+    tab = _Lockstep(T, basis, 0, 500)
+    tab.run_phase(cost, phase=2)
+    assert tab.checked > 0
+
+
+@pytest.mark.parametrize("build", [build_ns_joint, build_ns_sum])
+def test_sparse_pivots_match_the_dense_update_on_the_tensor_square(build, monkeypatch):
+    model = build(tensor_power(random_channel(2, 2, 2, seed=0), 2), 2, 2)
+    expected = bits(cold_solve(model))
+    steps = []
+
+    class Counted(_Lockstep):
+        def pivot(self, p, q):
+            super().pivot(p, q)
+            steps.append(1)
+
+    monkeypatch.setattr(bcc.simplex, "_Tableau", Counted)
+    lp_solve(UNRELATED)
+    assert bits(lp_solve(model)) == expected
+    assert len(steps) >= expected[2]   # and the pivots that drive artificials out
