@@ -18,7 +18,6 @@ from .channels import (
 )
 from .errors import (
     BadParametersError,
-    BadPartIndexError,
     DimensionMismatchError,
     EnumerationCapExceededError,
     InfeasibleError,
@@ -50,8 +49,6 @@ from .graphs import (
     Partition,
     enumerate_partitions,
     make_graph,
-    merged_partition,
-    quotient_degree,
     quotient_edge_count,
     singleton_partition,
 )
@@ -64,7 +61,7 @@ from .approx import (
     greedy_welfare,
     random_left_partition,
 )
-from .approx import left_degree_bound, upper_bound_right
+from .approx import left_degree_bound
 from .files import (
     channel_from_dict,
     channel_to_dict,

@@ -49,15 +49,6 @@ def _part_incidences(g: BipartiteGraph, p2: Partition) -> tuple[np.ndarray, np.n
     return np.divmod(distinct_values(U * k2 + np.asarray(p2.assignment, dtype=np.intp)[V]), k2)
 
 
-def upper_bound_right(g: BipartiteGraph, k1: int, p2: Partition) -> int:
-    """Cap each right part's quotient degree at k1: an upper bound on the
-    quotient edges achievable against any left partition into k1 parts."""
-    if k1 < 1:
-        raise BadParametersError("k1 must be >= 1")
-    _, parts = _part_incidences(g, p2)
-    return int(np.minimum(np.bincount(parts), k1).sum())
-
-
 def left_degree_bound(g: BipartiteGraph, k1: int, k2: int) -> int:
     """min(k1 k2, sum over left vertices of min(k2, degree))."""
     return min(k1 * k2, int(np.minimum(np.bincount(g.edge_arrays[0]), k2).sum()))

@@ -97,18 +97,13 @@ class DeterministicChannel:
         return ChannelTable(self.input_size, self.out1_size, self.out2_size, probs)
 
 
-def validate_channel(table, input_size=None, out1_size=None, out2_size=None,
-                     tol: float = NORMALIZATION_TOL) -> ChannelTable:
-    """Check shape, finiteness, nonnegativity, and row normalization; freeze the array."""
+def validate_channel(table) -> ChannelTable:
+    """Check shape, finiteness, nonnegativity, and row normalization within
+    NORMALIZATION_TOL; freeze the array."""
     probs = np.asarray(table, dtype=float)
     if probs.ndim != 3:
         raise DimensionMismatchError(f"expected a 3d table, got ndim={probs.ndim}")
     nx, n1, n2 = probs.shape
-    for name, declared, actual in (("input", input_size, nx),
-                                   ("out1", out1_size, n1),
-                                   ("out2", out2_size, n2)):
-        if declared is not None and declared != actual:
-            raise DimensionMismatchError(f"{name} size {declared} != table axis {actual}")
     if min(nx, n1, n2) < 1:
         raise DimensionMismatchError("alphabets must be nonempty")
     bad = np.argwhere(~np.isfinite(probs))
@@ -116,17 +111,17 @@ def validate_channel(table, input_size=None, out1_size=None, out2_size=None,
         x, y1, y2 = bad[0]
         raise ValidationError(
             f"entry {float(probs[x, y1, y2])!r} at (x={x}, y1={y1}, y2={y2}) is not finite")
-    neg = np.argwhere(probs < -tol)
+    neg = np.argwhere(probs < -NORMALIZATION_TOL)
     if len(neg):
         x, y1, y2 = neg[0]
         raise NegativeProbabilityError(int(x), int(y1), int(y2), float(probs[x, y1, y2]))
     row_sums = probs.sum(axis=(1, 2))
-    bad = np.argwhere(np.abs(row_sums - 1.0) > tol)
+    bad = np.argwhere(np.abs(row_sums - 1.0) > NORMALIZATION_TOL)
     if len(bad):
         x = int(bad[0][0])
         raise RowNotNormalizedError(x, float(row_sums[x]))
     probs = probs.copy()
-    probs[probs < 0] = 0.0  # clip the tolerated sub-tol noise
+    probs[probs < 0] = 0.0  # clip the tolerated noise
     probs.setflags(write=False)
     return ChannelTable(nx, n1, n2, probs)
 
@@ -163,11 +158,12 @@ def tensor_power(w: ChannelTable, n: int, cap: int = DEFAULT_ENTRY_CAP) -> Chann
     return validate_channel(result)
 
 
-def to_deterministic(w: ChannelTable, tol: float = POINT_MASS_TOL) -> DeterministicChannel:
+def to_deterministic(w: ChannelTable) -> DeterministicChannel:
     """Recover the pair map of a channel whose rows are 0/1 point masses: one entry
-    within tol of 1, all others within tol of 0.  For tol < 1/2 that is a row whose
-    largest entry is within tol of 1, the only one above tol, and none below -tol."""
-    flat = w.probs.reshape(w.input_size, -1)
+    within tol = POINT_MASS_TOL of 1, all others within tol of 0.  As tol < 1/2,
+    that is a row whose largest entry is within tol of 1, the only one above
+    tol, and none below -tol."""
+    flat, tol = w.probs.reshape(w.input_size, -1), POINT_MASS_TOL
     peak = flat.argmax(axis=1)
     point_mass = ((np.abs(flat[np.arange(w.input_size), peak] - 1.0) <= tol)
                   & (np.count_nonzero(flat > tol, axis=1) == 1)

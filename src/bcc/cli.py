@@ -6,10 +6,10 @@ value-query experiments), tensor (solve a tensor power).  Every command
 emits one canonical JSON report; with --verify a failed inequality check
 turns into exit code 4.
 
-Exit codes: 0 success, 2 bad input, 3 size, enumeration or pivot cap
-exceeded, 4 failed checks under --verify, 5 internal error (a solver broke
-one of its own invariants; one "internal error:" line goes to stderr).  The
-toolkit only builds feasible, bounded programs, so an infeasible or
+Exit codes: 0 success, 2 bad input or an unwritable output path, 3 size,
+enumeration or pivot cap exceeded, 4 failed checks under --verify, 5
+internal error (a solver broke one of its own invariants; one "internal
+error:" line goes to stderr).  The toolkit only builds feasible, bounded programs, so an infeasible or
 unbounded one is an internal error too.  Relative --out, --log and
 --lp-export paths land in $BCC_WORKDIR when it is set.
 """
@@ -375,19 +375,19 @@ def main(argv=None) -> int:
         if not math.isfinite(args.check_tol):
             raise BadParametersError("--check-tol must be finite")
         report = args.func(args)
+        text = report.to_json()
+        if args.out:
+            _resolve(args.out).write_text(text)
     except (SizeCapExceededError, EnumerationCapExceededError, IterationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (InvariantViolationError, InfeasibleError, UnboundedError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:   # OSError: --out, --log or --lp-export
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    text = report.to_json()
-    if args.out:
-        _resolve(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     if args.verify and not report.all_passed:
         for check in report.failed_checks:

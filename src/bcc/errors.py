@@ -43,10 +43,6 @@ class SideMismatchError(ToolkitError):
     pass
 
 
-class BadPartIndexError(ToolkitError):
-    pass
-
-
 class InfeasibleError(ToolkitError):
     """The linear program admits no feasible point."""
 

@@ -6,7 +6,8 @@ Schema (format_version 1):
       "format_version": 1,
       "kind": "dense" | "deterministic",
       "num_inputs": int, "num_outputs1": int, "num_outputs2": int,
-      "alphabets": {"x": [...], "y1": [...], "y2": [...]},   # optional labels
+      "alphabets": {"x": [...], "y1": [...], "y2": [...]},   # optional labels,
+                                                             # checked, not kept
       "rows":  [[[float ...] ...] ...],    # dense: rows[x][y1][y2]
       "pairs": [[y1, y2] ...]              # deterministic: one pair per x
     }
@@ -113,19 +114,16 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raise ValidationError(str(exc)) from exc
 
 
-def channel_to_dict(channel: ChannelTable | DeterministicChannel,
-                    alphabets: dict | None = None) -> dict:
+def channel_to_dict(channel: ChannelTable | DeterministicChannel) -> dict:
+    """The channel as a format_version 1 document, without alphabet labels."""
     if isinstance(channel, DeterministicChannel):
         kind, body = "deterministic", {"pairs": channel.pairs.tolist()}
     elif isinstance(channel, ChannelTable):
         kind, body = "dense", {"rows": np.asarray(channel.probs, dtype=float).tolist()}
     else:
         raise ValidationError(f"cannot serialize {type(channel).__name__}")
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "num_inputs": channel.input_size,
-           "num_outputs1": channel.out1_size, "num_outputs2": channel.out2_size, **body}
-    if alphabets is not None:
-        doc["alphabets"] = alphabets
-    return doc
+    return {"format_version": FORMAT_VERSION, "kind": kind, "num_inputs": channel.input_size,
+            "num_outputs1": channel.out1_size, "num_outputs2": channel.out2_size, **body}
 
 
 def dumps_canonical(doc: dict) -> str:
@@ -147,5 +145,5 @@ def load_channel(path) -> ChannelTable | DeterministicChannel:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def save_channel(channel, path, alphabets: dict | None = None) -> None:
-    Path(path).write_text(dumps_canonical(channel_to_dict(channel, alphabets)))
+def save_channel(channel, path) -> None:
+    Path(path).write_text(dumps_canonical(channel_to_dict(channel)))

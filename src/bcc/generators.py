@@ -12,13 +12,12 @@ from .simplex import LE, LpModel
 
 
 def random_channel(num_inputs: int, num_outputs1: int, num_outputs2: int,
-                   seed=None, concentration: float = 1.0) -> ChannelTable:
-    """Channel with rows drawn from a symmetric Dirichlet."""
+                   seed=None) -> ChannelTable:
+    """Channel with rows drawn from the flat Dirichlet, uniform on the simplex."""
     if min(num_inputs, num_outputs1, num_outputs2) < 1:
         raise BadParametersError("alphabet sizes must be positive")
     rng = np.random.default_rng(seed)
-    flat = rng.dirichlet([concentration] * (num_outputs1 * num_outputs2),
-                         size=num_inputs)
+    flat = rng.dirichlet([1.0] * (num_outputs1 * num_outputs2), size=num_inputs)
     return validate_channel(flat.reshape(num_inputs, num_outputs1, num_outputs2))
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadParametersError,
-    BadPartIndexError,
     EnumerationCapExceededError,
     SideMismatchError,
     ValidationError,
@@ -76,10 +75,6 @@ class BipartiteGraph:
         U, V = self.edge_arrays
         return zip(U.tolist(), V.tolist())
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_arrays[0])
-
 
 def make_graph(left_size, right_size, edges) -> BipartiteGraph:
     """Build a graph from an iterable of (left, right) pairs, deduplicated."""
@@ -114,21 +109,12 @@ class Partition:
                                 or max(self.assignment) >= self.num_parts):
             raise ValidationError("part index out of range")
 
-    def part(self, index: int) -> tuple[int, ...]:
-        if not (0 <= index < self.num_parts):
-            raise BadPartIndexError(f"part {index} not in range({self.num_parts})")
-        return tuple(i for i, a in enumerate(self.assignment) if a == index)
-
 
 def singleton_partition(ground_size: int, num_parts: int) -> Partition:
     """Element i goes to part i; requires num_parts >= ground_size."""
     if num_parts < ground_size:
         raise ValidationError("need at least one part per element")
     return Partition(ground_size, num_parts, tuple(range(ground_size)))
-
-
-def merged_partition(ground_size: int, num_parts: int = 1) -> Partition:
-    return Partition(ground_size, num_parts, (0,) * ground_size)
 
 
 def _check_sides(g: BipartiteGraph, p1: Partition, p2: Partition):
@@ -152,21 +138,6 @@ def quotient_edge_count(g: BipartiteGraph, p1: Partition, p2: Partition) -> int:
     hit = np.zeros(p1.num_parts * k2, dtype=bool)
     hit[a1[U] * k2 + a2[V]] = True
     return int(np.count_nonzero(hit))
-
-
-def quotient_degree(g: BipartiteGraph, p1: Partition, p2: Partition, side: str, part: int) -> int:
-    """Degree of one part in the quotient graph (distinct opposite parts hit)."""
-    _check_sides(g, p1, p2)
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
-    own = p1 if side == "left" else p2
-    if not (0 <= part < own.num_parts):
-        raise BadPartIndexError(f"part {part} not in range({own.num_parts})")
-    U, V = g.edge_arrays
-    ends = (np.asarray(p1.assignment, dtype=np.intp)[U],
-            np.asarray(p2.assignment, dtype=np.intp)[V])
-    mine, theirs = ends if side == "left" else ends[::-1]
-    return len(distinct_values(theirs[mine == part]))
 
 
 def distinct_left_neighbors(g: BipartiteGraph, right_subset) -> int:

@@ -284,11 +284,11 @@ def poisson_concavity_ratio(k1: int) -> float:
     return 1.0 - math.exp(k1 * math.log(k1) - k1 - math.lgamma(k1 + 1))
 
 
-def expected_min_poisson(k: int, x: float, tail: float = 1e-12) -> float:
+def expected_min_poisson(k: int, x: float) -> float:
     """E[min(k, N)] for N ~ Poisson(x), truncating once the tail mass is tiny.
 
     Sums min(k, j) P(N = j) upward and stops when the remaining mass, which
-    contributes at most k per unit, is below tail / k.
+    contributes at most k per unit, is below 1e-12 / k.
     """
     if x < 0:
         raise BadParametersError("x must be nonnegative")
@@ -303,5 +303,5 @@ def expected_min_poisson(k: int, x: float, tail: float = 1e-12) -> float:
         term *= x / j
         mass_left -= term
         total += min(k, j) * term
-        if j >= x and k * max(mass_left, 0.0) < tail:
+        if j >= x and k * max(mass_left, 0.0) < 1e-12:
             return total

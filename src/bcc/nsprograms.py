@@ -278,9 +278,9 @@ class NsSolution:
 
 
 def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
-                        solution: LpSolution | np.ndarray,
-                        tol: float = EXTRACT_TOL) -> NsSolution:
-    """Split a compact assignment into float blocks and verify its feasibility.
+                        solution: LpSolution | np.ndarray) -> NsSolution:
+    """Split a compact assignment into float blocks and verify its feasibility
+    within EXTRACT_TOL.
 
     The value is the solution's own, so an exact solve keeps its Fraction;
     a bare assignment vector gets its float value recomputed.
@@ -294,6 +294,7 @@ def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
             f"assignment length {vec.shape} does not fit channel of shape "
             f"({nx}, {n1}, {n2})")
     p, r, r1, r2 = (vec[idx] for idx in blocks)
+    tol = EXTRACT_TOL
 
     def demand(ok: bool, what: str):
         if not ok:

@@ -1,19 +1,20 @@
 """Dense linear programming: two-phase primal simplex with Bland's rule.
 
-Models are maximization problems over variables with lower bounds (zero by
-default), dense constraint rows, and relations <=, =, >=.  lp_solve picks one
-tableau class per solve, and everything that differs between the numeric
-modes lives in it: _Tableau works in float64 on a column-major tableau with
+Models are maximization problems over nonnegative variables (x >= 0 is the
+only bound; the toolkit's variables are weights and box entries, which are
+probabilities), with dense constraint rows and relations <=, =, >=.
+lp_solve picks one tableau class per solve, and everything that differs
+between the numeric modes lives in it: _Tableau works in float64 on a column-major tableau with
 small tolerances and guards against drift, _ExactTableau works in Fractions
 (float inputs converted exactly from their binary representation, an
 objective given as Fractions used as it is) with zero tolerances.  Both
 update only the columns where the pivot row is nonzero.  Phase 1, Bland's
 rule and the ratio test are shared.
 
-Phase 1 depends only on the constraints (rows, relations, right-hand side,
-lower bounds) and the numeric mode, never on the objective.  lp_solve keeps
-the state phase 1 ends in (the feasible tableau, its basis and its pivot
-count) for the last constraints it saw, and a following model with the same
+Phase 1 depends only on the constraints (rows, relations, right-hand side)
+and the numeric mode, never on the objective.  lp_solve keeps the state
+phase 1 ends in (the feasible tableau, its basis and its pivot count) for
+the last constraints it saw, and a following model with the same
 constraints, compared by value, starts phase 2 from a copy of it.  Phase 1
 is deterministic, so values, vertices and pivot counts (which still count
 the whole path from the slack basis) are those of a solve from scratch.
@@ -56,7 +57,7 @@ _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 @dataclass
 class LpModel:
-    """max objective . x  subject to  rows[i] . x (rel_i) rhs[i],  x >= lower_bounds.
+    """max objective . x  subject to  rows[i] . x (rel_i) rhs[i],  x >= 0.
 
     Every array is stored as float64, except an objective of Fractions (an
     object array), which an exact solve uses as it is.
@@ -67,7 +68,6 @@ class LpModel:
     rows: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    lower_bounds: np.ndarray | None = None
     var_names: tuple[str, ...] | None = None
     row_names: tuple[str, ...] | None = None
 
@@ -84,10 +84,6 @@ class LpModel:
             raise DimensionMismatchError("one relation per row required")
         if any(rel not in (LE, EQ, GE) for rel in self.relations):
             raise ValidationError(f"relations must be one of {LE!r}, {EQ!r}, {GE!r}")
-        if self.lower_bounds is not None:
-            self.lower_bounds = np.asarray(self.lower_bounds, dtype=float)
-            if self.lower_bounds.shape != (self.num_vars,):
-                raise DimensionMismatchError("one lower bound per variable required")
 
     @property
     def num_rows(self) -> int:
@@ -103,23 +99,22 @@ class LpSolution:
 
 
 def constraint_violation(model: LpModel, x) -> float | Fraction:
-    """Largest violation of any row or lower bound at the point x, or zero.
+    """Largest violation of any row or of x >= 0 at the point x, or zero.
 
     An object array x (of Fractions) is checked in exact arithmetic.
     """
     x = np.asarray(x)
     rhs, worst = model.rhs, 0.0
-    lb = np.zeros(model.num_vars) if model.lower_bounds is None else model.lower_bounds
     if x.dtype == object:
         # Only nonzero coefficients become Fractions; zero terms add exactly 0.
-        rhs, lb, worst = _to_fraction(rhs), _to_fraction(lb), Fraction(0)
+        rhs, worst = _to_fraction(rhs), Fraction(0)
         i, j = np.nonzero(model.rows)
         gap = -rhs
         np.add.at(gap, i, _to_fraction(model.rows[i, j]) * x[j])
     else:
         gap = model.rows @ x - rhs
     rel = np.asarray(model.relations)
-    gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), lb - x])
+    gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), -x])
     return gaps.max(initial=worst)
 
 
@@ -129,9 +124,7 @@ def _content(a: np.ndarray) -> tuple:
 
 def _constraint_key(model: LpModel, exact: bool) -> tuple:
     """Everything phase 1 depends on: the mode and the constraints, by value."""
-    lb = model.lower_bounds
-    return (exact, _content(model.rows), _content(model.rhs), tuple(model.relations),
-            None if lb is None else _content(lb))
+    return exact, _content(model.rows), _content(model.rhs), tuple(model.relations)
 
 
 class _Tableau:
@@ -272,15 +265,13 @@ class _Phase1:
     """Where phase 1 leaves a model: a feasible basis of its constraints.
 
     The tableau and the basis (read-only) have the artificial columns and
-    the redundant rows dropped; lb holds the lower bounds in the mode's
-    scalars, or None.
+    the redundant rows dropped.
     """
 
     key: tuple
     tableau: np.ndarray
     basis: np.ndarray
     pivots: int
-    lb: np.ndarray | None
 
 
 _last_phase1: _Phase1 | None = None
@@ -293,11 +284,6 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
     zero, one = tableau_cls.zero, tableau_cls.one
     n, m = model.num_vars, model.num_rows
     A, b = tableau_cls.to_array(model.rows), tableau_cls.to_array(model.rhs)
-
-    # Shift out nonzero lower bounds: x = lb + x', x' >= 0.
-    lb = None if model.lower_bounds is None else tableau_cls.to_array(model.lower_bounds)
-    if lb is not None:
-        b = b - A @ lb
 
     # Negate the rows with b < 0, which swaps their <= and >=.
     rel = np.asarray(model.relations)
@@ -340,7 +326,7 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
     T = np.asarray(T[np.ix_(kept, np.r_[:art_start, ncols])], order=tableau_cls.order)
     basis = basis[kept]
     T.flags.writeable = basis.flags.writeable = False
-    return _Phase1(key, T, basis, tab.pivots, lb)
+    return _Phase1(key, T, basis, tab.pivots)
 
 
 def lp_solve(model: LpModel, exact: bool = False,
@@ -372,8 +358,6 @@ def lp_solve(model: LpModel, exact: bool = False,
     x = np.full(n, zero, dtype=dtype)
     structural = tab.basis < n
     x[tab.basis[structural]] = tab.T[structural, -1]
-    if start.lb is not None:
-        x = x + start.lb
     value = tableau_cls.scalar(sum(ci * xi for ci, xi in zip(c, x)))
 
     violation = constraint_violation(model, x)
@@ -406,8 +390,6 @@ def lp_write_text(model: LpModel, fp) -> None:
         fp.write(f" {rownames[i]}: {terms(model.rows[i])} {model.relations[i]} "
                  f"{_fmt(model.rhs[i])}\n")
     fp.write("Bounds\n")
-    lb = model.lower_bounds
-    for j in range(model.num_vars):
-        low = 0.0 if lb is None else float(lb[j])
-        fp.write(f" {names[j]} >= {_fmt(low)}\n")
+    for name in names:
+        fp.write(f" {name} >= 0\n")
     fp.write("End\n")

@@ -103,19 +103,20 @@ def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
 
 
 def dense_pivot(T: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
-    """Float simplex pivot on (p, q) as one dense rank-1 update of the whole tableau.
+    """Simplex pivot on (p, q) as one dense rank-1 update of the whole tableau.
 
     The right-hand side is then clipped at zero, as the package's float
-    tableau does against drift.
+    tableau does against drift; the exact tableau keeps it nonnegative, so
+    on an object array of Fractions the clip changes nothing.
     """
     col = T[:, q].copy()
-    col[p] = 0.0
+    col[p] = 0
     T[p] = T[p] / T[p, q]
     T -= np.outer(col, T[p])
-    T[:, q] = 0.0
-    T[p, q] = 1.0
+    T[:, q] = 0
+    T[p, q] = 1
     basis[p] = q
-    T[:, -1] = np.maximum(T[:, -1], 0.0)
+    T[:, -1] = np.maximum(T[:, -1], 0)
 
 
 def looped_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -174,13 +175,11 @@ def f1_from_table(probs: np.ndarray, subset) -> float:
 def lp_vertex_oracle(model, feas_tol: float = 1e-9):
     """Maximum of a bounded feasible LP by enumerating basic feasible points.
 
-    All constraints become a.x <= b rows (equalities contribute both signs
-    and are forced active); every n-subset of constraints with independent
+    All constraints, x >= 0 included, become a.x <= b rows (equalities
+    contribute both signs and are forced active); every n-subset of constraints with independent
     gradients defines a candidate vertex, solved in a single batched call.
     """
     n = model.num_vars
-    lower = (np.zeros(n) if model.lower_bounds is None
-             else np.asarray(model.lower_bounds, dtype=float))
     rows_le, rhs_le, forced = [], [], []
     for row, rel, b in zip(model.rows, model.relations, model.rhs):
         a = np.asarray(row, dtype=float)
@@ -195,12 +194,8 @@ def lp_vertex_oracle(model, feas_tol: float = 1e-9):
             forced.append((a, b))
         else:
             raise ValueError(rel)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = -1.0
-        rows_le.append(e), rhs_le.append(-float(lower[j]))
-    rows_le = np.array(rows_le)
-    rhs_le = np.array(rhs_le)
+    rows_le = np.vstack([np.reshape(rows_le, (-1, n)), -np.eye(n)])
+    rhs_le = np.append(rhs_le, np.zeros(n))
 
     forced_a = np.array([a for a, _ in forced]).reshape(len(forced), n)
     forced_b = np.array([b for _, b in forced])

@@ -18,7 +18,6 @@ from bcc import (
     degree_upper_bound,
     derandomize_left,
     distinct_left_neighbors,
-    enumerate_partitions,
     exact_expected_edges,
     greedy_welfare,
     joint_success,
@@ -31,7 +30,6 @@ from bcc import (
     singleton_partition,
     tensor_power,
     to_deterministic,
-    upper_bound_right,
 )
 from bcc import approx
 from oracles import dqg_bruteforce, welfare_bruteforce
@@ -131,19 +129,13 @@ def test_greedy_welfare_half_approximation():
         v1, v2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         g = random_bipartite_graph(v1, v2, 0.6, seed=int(rng.integers(10**6)))
         k1, k2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        value = bundle_value_fn(g, k1)
         p2 = greedy_welfare(g, k1, k2)
-        achieved = upper_bound_right(g, k1, p2)
-        optimum = welfare_bruteforce(bundle_value_fn(g, k1), v2, k2)
+        achieved = sum(value([v for v, part in enumerate(p2.assignment) if part == j])
+                       for j in range(k2))
+        optimum = welfare_bruteforce(value, v2, k2)
         assert achieved <= optimum + 1e-12
         assert achieved >= 0.5 * optimum - 1e-12
-
-
-def test_upper_bound_right_dominates_any_left_partition():
-    g = random_bipartite_graph(3, 3, 0.7, seed=5)
-    for p2 in enumerate_partitions(3, 2):
-        bound = upper_bound_right(g, 2, p2)
-        for p1 in enumerate_partitions(3, 2):
-            assert quotient_edge_count(g, p1, p2) <= bound
 
 
 def test_degree_bounds_dominate_optimum():

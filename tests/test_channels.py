@@ -65,7 +65,9 @@ def test_validate_checks_declared_sizes_and_rank():
     with pytest.raises(DimensionMismatchError):
         validate_channel(np.ones((2, 2)))
     with pytest.raises(DimensionMismatchError):
-        validate_channel(np.full((1, 2, 2), 0.25), input_size=2)
+        validate_channel(np.ones((1, 0, 2)))
+    with pytest.raises(DimensionMismatchError):
+        ChannelTable(2, 2, 2, np.full((1, 2, 2), 0.25))
 
 
 def test_marginals_of_known_channel():

@@ -19,6 +19,7 @@ from bcc import (
     GE,
     LE,
     LpModel,
+    LpSolution,
     build_ns_joint,
     build_ns_sum,
     lp_solve,
@@ -36,14 +37,15 @@ SPECS = [
 ]
 
 
-def mixed_relations_lp(seed: int) -> LpModel:
-    """Bounded LP with <=, >= and = rows and nonzero lower bounds.
+def mixed_relations_lp(seed: int) -> tuple[LpModel, np.ndarray]:
+    """Bounded LP with <=, >= and = rows in x >= lower, written in y = x - lower.
 
-    Integer data around an integer point x0 that satisfies every row, so the
-    program is feasible; the last row caps sum(x), so it is bounded.  Two
-    opposite = rows e.x = e.lower on variables that no other >= or = row
-    uses leave their artificials basic at zero after phase 1: one is pivoted
-    out, the other row is dropped as redundant.
+    Returns the program in y >= 0 and the integer shift lower.  Integer data
+    around an integer point x0 that satisfies every row, so the program is
+    feasible; the last row caps sum(x), so it is bounded.  Two opposite =
+    rows e.y = 0 on variables that no other >= or = row uses leave their
+    artificials basic at zero after phase 1: one is pivoted out, the other
+    row is dropped as redundant.
     """
     rng = np.random.default_rng(seed)
     num_vars = 8
@@ -57,22 +59,31 @@ def mixed_relations_lp(seed: int) -> LpModel:
     e = np.zeros(num_vars)
     e[i], e[j] = d[j], -d[i]  # e.d = 0, so e.x0 = e.lower
     rhs = rows @ x0 + np.array([1, 1, -1, -1, -1, 0]) * slack
-    return LpModel(num_vars, rng.integers(-6, 7, size=num_vars) / 2,
-                   np.vstack([rows, -e, e, np.ones(num_vars)]),
-                   (LE, LE, GE, GE, GE, EQ, EQ, EQ, LE),
-                   np.append(rhs, [-(e @ lower), e @ lower, x0.sum() + 4]),
-                   lower_bounds=lower)
+    A = np.vstack([rows, -e, e, np.ones(num_vars)])
+    b = np.append(rhs, [-(e @ lower), e @ lower, x0.sum() + 4])
+    return LpModel(num_vars, rng.integers(-6, 7, size=num_vars) / 2, A,
+                   (LE, LE, GE, GE, GE, EQ, EQ, EQ, LE), b - A @ lower), lower
 
 
 def build(spec: dict) -> LpModel:
-    if spec["kind"] == "mixed_lp":
-        return mixed_relations_lp(spec["seed"])
     w = random_dyadic_channel(*spec["shape"], seed=spec["seed"])
     return {"joint": build_ns_joint, "sum": build_ns_sum}[spec["objective"]](w, 2, 2)
 
 
+def solve(spec: dict, exact: bool, build=build) -> LpSolution:
+    """lp_solve on the spec's program, the mixed one mapped back to x = y + lower."""
+    if spec["kind"] != "mixed_lp":
+        return lp_solve(build(spec), exact=exact)
+    model, lower = mixed_relations_lp(spec["seed"])
+    sol = lp_solve(model, exact=exact)
+    x = sol.assignment + lower.astype(object if exact else float)
+    c = np.array([Fraction(v) for v in model.objective]) if exact else model.objective
+    value = type(sol.value)(sum(ci * xi for ci, xi in zip(c, x)))
+    return LpSolution(sol.status, value, x, sol.pivots)
+
+
 def record(spec: dict) -> dict:
-    sol = lp_solve(build(spec), exact=True)
+    sol = solve(spec, exact=True)
     assert isinstance(sol.value, Fraction)
     assert all(isinstance(v, Fraction) for v in sol.assignment)
     return {"spec": spec, "value": str(sol.value),

@@ -20,12 +20,12 @@ from bcc import (
     build_decoder_box_lp,
     build_ns_joint,
     build_ns_sum,
-    lp_solve,
     random_channel,
     tensor_power,
 )
 from test_exact_golden import SPECS as EXACT_SPECS
 from test_exact_golden import build as build_exact_spec
+from test_exact_golden import solve
 
 DATA = Path(__file__).parent / "data" / "float_golden.json"
 
@@ -53,7 +53,7 @@ def build(spec: dict):
 
 
 def record(spec: dict) -> dict:
-    sol = lp_solve(build(spec))
+    sol = solve(spec, exact=False, build=build)
     assert isinstance(sol.value, float)
     assert sol.assignment.dtype == float
     return {"spec": spec, "value": repr(sol.value),

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcc.errors import (
-    BadPartIndexError,
     EnumerationCapExceededError,
     SideMismatchError,
     ValidationError,
@@ -15,12 +14,10 @@ from bcc.graphs import (
     distinct_left_neighbors,
     enumerate_partitions,
     make_graph,
-    merged_partition,
-    quotient_degree,
     quotient_edge_count,
     singleton_partition,
 )
-from oracles import quotient_edges_sets, quotient_pair_set
+from oracles import quotient_edges_sets
 
 
 def test_make_graph_dedups_and_sorts():
@@ -30,7 +27,6 @@ def test_make_graph_dedups_and_sorts():
     assert U.tolist() == [0, 0, 2] and V.tolist() == [0, 1, 1]
     assert U.dtype == V.dtype == np.intp
     assert not U.flags.writeable and not V.flags.writeable
-    assert g.edge_count == 3
 
 
 def test_make_graph_rejects_out_of_range():
@@ -66,18 +62,13 @@ def test_partition_validation():
         Partition(2, 2, (-1, 0))
     with pytest.raises(ValidationError):
         Partition(2, 2, (0,))
-    p = Partition(4, 2, (0, 1, 0, 1))
-    assert p.part(0) == (0, 2)
-    with pytest.raises(BadPartIndexError):
-        p.part(2)
 
 
-def test_singleton_and_merged_partitions():
+def test_singleton_partition():
     p = singleton_partition(3, 5)
     assert p.assignment == (0, 1, 2)
     with pytest.raises(ValidationError):
         singleton_partition(5, 3)
-    assert merged_partition(4).assignment == (0, 0, 0, 0)
 
 
 def test_quotient_edge_count_known():
@@ -104,11 +95,6 @@ def test_quotient_count_matches_set_oracle(seed):
     p1 = Partition(v1, k1, tuple(int(v) for v in rng.integers(0, k1, v1)))
     p2 = Partition(v2, k2, tuple(int(v) for v in rng.integers(0, k2, v2)))
     assert quotient_edge_count(g, p1, p2) == quotient_edges_sets(g, p1, p2)
-    pairs = quotient_pair_set(g, p1, p2)
-    for part in range(k1):
-        assert quotient_degree(g, p1, p2, "left", part) == sum(a == part for a, _ in pairs)
-    for part in range(k2):
-        assert quotient_degree(g, p1, p2, "right", part) == sum(b == part for _, b in pairs)
 
 
 def test_quotient_count_edgeless_and_many_parts():
@@ -123,18 +109,6 @@ def test_quotient_count_edgeless_and_many_parts():
             count = quotient_edge_count(g, p1, p2)
             assert type(count) is int
             assert count == quotient_edges_sets(g, p1, p2)
-
-
-def test_quotient_degree():
-    g = make_graph(4, 4, [(i, i) for i in range(4)] + [(0, 3)])
-    p1 = Partition(4, 2, (0, 0, 1, 1))
-    p2 = Partition(4, 2, (0, 1, 0, 1))
-    assert quotient_degree(g, p1, p2, "left", 0) == 2
-    assert quotient_degree(g, p1, p2, "right", 1) == 2
-    with pytest.raises(BadPartIndexError):
-        quotient_degree(g, p1, p2, "left", 5)
-    with pytest.raises(ValidationError):
-        quotient_degree(g, p1, p2, "middle", 0)
 
 
 def test_distinct_left_neighbors():

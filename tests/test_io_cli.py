@@ -86,6 +86,14 @@ def test_dense_round_trip_is_byte_identical(tmp_path):
     save_channel(loaded, path)
     assert path.read_bytes() == first
 
+    # Alphabet labels are checked on load but not kept, so they are not saved.
+    doc = dense_doc()
+    doc["alphabets"] = {"x": ["a"], "y1": ["u", "v"], "y2": ["w"]}
+    path.write_text(dumps_canonical(doc))
+    save_channel(load_channel(path), path)
+    del doc["alphabets"]
+    assert path.read_text() == dumps_canonical(doc)
+
 
 def test_deterministic_round_trip(tmp_path):
     dc = DeterministicChannel(3, 2, 2, ((0, 0), (1, 1), (0, 1)))
@@ -479,6 +487,19 @@ def test_cli_out_and_workdir(tmp_path, capsys, monkeypatch):
                          "--which", "joint", "--out", "nested.json")
     assert code == 0
     assert (workdir / "nested.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint", "--out", "{bad}"),
+    ("solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns", "--lp-export", "{bad}"),
+    ("hardness", "--k1", "2", "--budget", "2", "--log", "{bad}"),
+])
+def test_cli_unwritable_output_path_is_bad_input(tmp_path, capsys, command):
+    channel, bad = one_input_file(tmp_path), tmp_path / "no" / "such" / "dir" / "r.json"
+    argv = [arg.format(channel=channel, bad=bad) for arg in command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
