@@ -113,9 +113,11 @@ from .simplex import (
     LE,
     LpModel,
     LpSolution,
+    certify,
     constraint_violation,
     lp_solve,
     lp_write_text,
+    solve_exact,
 )
 
 __version__ = "0.1.0"

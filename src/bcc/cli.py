@@ -6,17 +6,19 @@ value-query experiments), tensor (solve a tensor power).  Every command
 emits one canonical JSON report; with --verify a failed inequality check
 turns into exit code 4.
 
-Exit codes: 0 success, 2 bad input or an unwritable output path, 3 size,
-enumeration or pivot cap exceeded, 4 failed checks under --verify, 5
-internal error (a solver broke one of its own invariants; one "internal
-error:" line goes to stderr).  The toolkit only builds feasible, bounded programs, so an infeasible or
-unbounded one is an internal error too.  Relative --out, --log and
---lp-export paths land in $BCC_WORKDIR when it is set.
+Exit codes: 0 success, 2 bad input or an unwritable output path (checked
+before any work), 3 size, enumeration or pivot cap exceeded, 4 failed
+checks under --verify, 5 internal error (a solver broke one of its own
+invariants; one "internal error:" line goes to stderr).  The toolkit only
+builds feasible, bounded programs, so an infeasible or unbounded one is an
+internal error too.  Relative --out, --log and --lp-export paths land in
+$BCC_WORKDIR when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -83,6 +85,24 @@ def _resolve(path: str | None) -> Path | None:
     if workdir and not p.is_absolute():
         p = Path(workdir) / p
     return p
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, without
+    creating or truncating it: a missing or non-directory parent, a path
+    that is a directory, or no write permission."""
+    p = _resolve(path)
+    if p.is_dir():
+        code = errno.EISDIR
+    elif not p.parent.exists():
+        code = errno.ENOENT
+    elif not p.parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(p if p.exists() else p.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(p))
 
 
 def _as_table(channel):
@@ -374,6 +394,9 @@ def main(argv=None) -> int:
     try:
         if not math.isfinite(args.check_tol):
             raise BadParametersError("--check-tol must be finite")
+        for path in (args.out, getattr(args, "lp_export", None), getattr(args, "log", None)):
+            if path:
+                _check_writable(path)   # before any work, so a bad path costs nothing
         report = args.func(args)
         text = report.to_json()
         if args.out:

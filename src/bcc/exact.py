@@ -50,7 +50,7 @@ from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
 from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition, _check_cap
 from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
-from .simplex import lp_solve
+from .simplex import lp_solve, solve_exact
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,8 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     The programs differ only in their objective: the box program is built
     once and each encoder swaps in its objective, and lp_solve runs phase 1
     once for all of them (and for a following call with the other objective).
+    Exact mode solves each through solve_exact, a float solve with a rational
+    certificate, or the Fraction simplex when the certificate fails.
     """
     _check_k(k1, k2)
     _check_cap(cap)
@@ -323,7 +325,7 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
             continue
         enc = np.asarray(flat, dtype=int).reshape(k1, k2)
         model = replace(box, objective=_decoder_box_objective(w, enc, objective, exact))
-        sol = lp_solve(model, exact=exact)
+        sol = solve_exact(model, lp_solve) if exact else lp_solve(model)
         if best_val is None or sol.value > best_val:
             best_val = sol.value
             best_enc = tuple(tuple(int(v) for v in row) for row in enc)

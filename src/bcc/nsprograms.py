@@ -32,7 +32,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve
+from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve, solve_exact
 
 DEFAULT_FULL_VAR_CAP = 20_000
 FULL_DENSE_ENTRY_CAP = 10**7  # rows x variables of the dense full-box matrix, 80 MB
@@ -347,12 +347,15 @@ def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     """Build the compact program, solve it, and return the checked solution.
 
     Exact mode solves the program with the channel's exact rational
-    objective, not the float-rounded one the built model carries.
+    objective, not the float-rounded one the built model carries, through
+    solve_exact: a float solve with a rational certificate, or the Fraction
+    simplex when the certificate fails.
     """
     build = build_ns_joint if objective == "joint" else build_ns_sum
     if objective not in ("joint", "sum"):
         raise ValidationError(f"unknown objective {objective!r}")
     model = build(w, k1, k2)
-    if exact:
-        model = replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))
-    return extract_ns_solution(w, k1, k2, lp_solve(model, exact=exact))
+    if not exact:
+        return extract_ns_solution(w, k1, k2, lp_solve(model))
+    model = replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))
+    return extract_ns_solution(w, k1, k2, solve_exact(model, lp_solve))

@@ -22,8 +22,13 @@ Families of programs that differ only in their objective, such as the
 decoder-box LPs of all encoders, thus pay for one phase 1.
 
 Bland's rule (lowest eligible index enters, ratio ties resolved by lowest
-basis index) guarantees termination without cycling.  Exact mode is meant for
-small certificates and is capped at EXACT_VAR_CAP variables.
+basis index) guarantees termination without cycling.
+
+An exact optimum is best had from a float solve: certify rounds its vertex
+and the duals of its final basis to small fractions and proves them optimal
+in exact arithmetic, and solve_exact falls back to the Fraction simplex,
+lp_solve(exact=True), only when that proof fails.  The Fraction simplex is
+capped at EXACT_VAR_CAP variables; the certificate is not.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .errors import (
     InvariantViolationError,
     IterationLimitError,
     SizeCapExceededError,
+    ToolkitError,
     UnboundedError,
     ValidationError,
 )
@@ -51,6 +57,7 @@ FEAS_TOL = 1e-9
 CHECK_TOL = 1e-7
 DEFAULT_PIVOT_LIMIT = 10**6
 EXACT_VAR_CAP = 200
+CERT_DENOMINATOR = 10**6
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -92,10 +99,19 @@ class LpModel:
 
 @dataclass
 class LpSolution:
+    """An optimum, its vertex, the pivots taken and the final basis.
+
+    The basis holds column indices of [A | D], where D has one unit column
+    per row: column n + i is row i's slack, +1 on a <= row and -1 on a >=
+    row, or on an = row the artificial of a row that phase 1 dropped as
+    redundant.  There are num_rows of them, in no particular order.
+    """
+
     status: str
     value: float | Fraction
     assignment: np.ndarray
     pivots: int
+    basis: np.ndarray | None = None
 
 
 def constraint_violation(model: LpModel, x) -> float | Fraction:
@@ -106,11 +122,13 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     x = np.asarray(x)
     rhs, worst = model.rhs, 0.0
     if x.dtype == object:
-        # Only nonzero coefficients become Fractions; zero terms add exactly 0.
+        # Only terms with a nonzero coefficient and a nonzero x_j are formed;
+        # the others add exactly 0.
         rhs, worst = _to_fraction(rhs), Fraction(0)
-        i, j = np.nonzero(model.rows)
+        support = np.flatnonzero(x)
+        i, j = np.nonzero(model.rows[:, support])
         gap = -rhs
-        np.add.at(gap, i, _to_fraction(model.rows[i, j]) * x[j])
+        np.add.at(gap, i, _to_fraction(model.rows[i, support[j]]) * x[support[j]])
     else:
         gap = model.rows @ x - rhs
     rel = np.asarray(model.relations)
@@ -226,6 +244,7 @@ class _ExactTableau(_Tableau):
     update) touches only the nonzeros of the pivot row and column.  The
     skipped terms are exact zeros, so values, vertices and pivot counts are
     those of the dense update, and most Fraction products are never formed.
+    The update itself leaves the pivot column a unit column, exactly.
     The ratio test keeps the right-hand side nonnegative, so nothing is
     clipped.
     """
@@ -243,8 +262,6 @@ class _ExactTableau(_Tableau):
         T[p, cols] = T[p, cols] / T[p, q]
         rows = np.flatnonzero(col)
         T[np.ix_(rows, cols)] -= np.outer(col[rows], T[p, cols])
-        T[:, q] = self.zero
-        T[p, q] = self.one
         self.basis[p] = q
 
     def subtract_row(self, r, coef, i: int):
@@ -265,17 +282,23 @@ class _Phase1:
     """Where phase 1 leaves a model: a feasible basis of its constraints.
 
     The tableau and the basis (read-only) have the artificial columns and
-    the redundant rows dropped.
+    the redundant rows dropped.  columns maps each tableau column to its
+    column of [A | D] (see LpSolution), and redundant lists the original
+    rows whose artificial stayed basic, that is the rows dropped.
     """
 
     key: tuple
     tableau: np.ndarray
     basis: np.ndarray
     pivots: int
+    columns: np.ndarray
+    redundant: np.ndarray
 
 
-_last_phase1: _Phase1 | None = None
-"""The latest phase 1; lp_solve starts phase 2 from it when the key matches."""
+_last_phase1: dict[bool, _Phase1] = {}
+"""The latest phase 1 of each mode (exact or not); lp_solve starts phase 2
+from it when the key matches, so float solves and their exact fallbacks
+alternating on one family of programs each run phase 1 once."""
 
 
 def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
@@ -323,28 +346,30 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
                 tab.pivot(i, int(nonzero[0]))
             else:
                 kept[i] = False
+    # The artificial basic in a dropped tableau row can be another row's:
+    # the redundant rows are the artificials' own rows, not the rows of ~kept.
+    redundant = art_rows[basis[~kept] - art_start]
     T = np.asarray(T[np.ix_(kept, np.r_[:art_start, ncols])], order=tableau_cls.order)
     basis = basis[kept]
     T.flags.writeable = basis.flags.writeable = False
-    return _Phase1(key, T, basis, tab.pivots)
+    return _Phase1(key, T, basis, tab.pivots, np.r_[:n, n + slack_rows], redundant)
 
 
 def lp_solve(model: LpModel, exact: bool = False,
              max_pivots: int = DEFAULT_PIVOT_LIMIT) -> LpSolution:
     """Solve to optimality or raise Infeasible / Unbounded / IterationLimit.
 
-    Phase 1 is skipped when the previous call ran it on the same constraints
-    in the same mode; the result and its pivot count are those of a full solve.
+    Phase 1 is skipped when the previous call in the same mode ran it on the
+    same constraints; the result and its pivot count are those of a full solve.
     """
-    global _last_phase1
     if exact and model.num_vars > EXACT_VAR_CAP:
         raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
     tableau_cls = _ExactTableau if exact else _Tableau
     key = _constraint_key(model, exact)
-    start = _last_phase1
+    start = _last_phase1.get(exact)
     if start is None or start.key != key:
-        _last_phase1 = None   # so the old tableau is freed before the new one is built
-        start = _last_phase1 = _phase1(model, tableau_cls, key, max_pivots)
+        _last_phase1.pop(exact, None)   # so the old tableau is freed before the new one is built
+        start = _last_phase1[exact] = _phase1(model, tableau_cls, key, max_pivots)
     elif start.pivots > max_pivots:
         raise IterationLimitError(max_pivots + 1)
 
@@ -363,7 +388,88 @@ def lp_solve(model: LpModel, exact: bool = False,
     violation = constraint_violation(model, x)
     if violation > tableau_cls.check_tol:
         raise InvariantViolationError(f"optimal point violates a constraint by {violation}")
-    return LpSolution("optimal", value, x, tab.pivots)
+    basis = np.concatenate([start.columns[tab.basis], n + start.redundant])
+    return LpSolution("optimal", value, x, tab.pivots, basis)
+
+
+def _basis_duals(model: LpModel, basis: np.ndarray) -> np.ndarray:
+    """Float duals of a basis of [A | D]: the y with B^T y = c_B.
+
+    The basic unit column of a redundant = row has cost zero, so y is zero
+    there.  Raises numpy's LinAlgError when B is singular.
+    """
+    n, m = model.num_vars, model.num_rows
+    structural = basis < n
+    B = np.zeros((m, m))
+    B[:, structural] = model.rows[:, basis[structural]]
+    rows = basis[~structural] - n
+    B[rows, np.flatnonzero(~structural)] = np.where(
+        np.asarray(model.relations)[rows] == GE, -1.0, 1.0)
+    c_B = np.zeros(m)
+    c_B[structural] = np.asarray(model.objective, dtype=float)[basis[structural]]
+    return np.linalg.solve(B.T, c_B)
+
+
+def _rational(v: np.ndarray) -> np.ndarray:
+    """Each nonzero entry rounded to the nearest fraction of denominator at
+    most CERT_DENOMINATOR; an object array is taken as it is."""
+    if v.dtype == object:
+        return v
+    out = np.full(v.shape, Fraction(0), dtype=object)
+    support = np.flatnonzero(v)
+    out[support] = [Fraction(f).limit_denominator(CERT_DENOMINATOR) for f in v[support]]
+    return out
+
+
+def certify(model: LpModel, sol: LpSolution) -> LpSolution | None:
+    """The exact optimum of model, proved from a solution and its basis, or None.
+
+    The vertex x and the duals y of the final basis are rounded (_rational)
+    and checked in exact arithmetic, the cheapest checks first: the dual
+    signs (y >= 0 on <= rows, y <= 0 on >= rows), c.x == b.y, c - A^T y <= 0,
+    and every row and x >= 0.  By weak duality x is then optimal, and c.x is
+    the exact optimum.  The objective c is the model's Fractions, or its
+    floats converted exactly, as lp_solve(exact=True) takes it, and only
+    terms with a nonzero factor are formed.  Returns None when the basis is
+    missing or singular or a check fails.
+    """
+    basis = sol.basis
+    if basis is None or basis.shape != (model.num_rows,):
+        return None
+    try:
+        y = _rational(_basis_duals(model, basis))
+    except np.linalg.LinAlgError:
+        return None
+    rel = np.asarray(model.relations)
+    if (y[rel == LE] < 0).any() or (y[rel == GE] > 0).any():
+        return None
+    x = _rational(np.asarray(sol.assignment))
+    c = model.objective if model.objective.dtype == object else _to_fraction(model.objective)
+    support, duals = np.flatnonzero(x), np.flatnonzero(y)
+    value = sum(c[support] * x[support], Fraction(0))
+    if value != sum(_to_fraction(model.rhs[duals]) * y[duals], Fraction(0)):
+        return None
+    i, j = np.nonzero(model.rows[duals])
+    aty = np.full(model.num_vars, Fraction(0), dtype=object)
+    np.add.at(aty, j, _to_fraction(model.rows[duals[i], j]) * y[duals[i]])
+    if (c - aty > 0).any() or constraint_violation(model, x) > 0:
+        return None
+    return LpSolution("optimal", value, x, sol.pivots, basis)
+
+
+def solve_exact(model: LpModel, solve=lp_solve) -> LpSolution:
+    """Exact optimum: a float solve that certify proves, else the Fraction simplex.
+
+    solve is the lp_solve to call, for the float solve and for the fallback
+    solve(model, exact=True); a caller passes the name it imported, so that
+    a wrapper installed there sees both.  A float solve that raises falls
+    back too.  Only the fallback is capped at EXACT_VAR_CAP variables.
+    """
+    try:
+        cert = certify(model, solve(model))
+    except ToolkitError:
+        cert = None
+    return cert if cert is not None else solve(model, exact=True)
 
 
 def _fmt(v: float) -> str:

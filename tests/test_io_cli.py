@@ -489,17 +489,55 @@ def test_cli_out_and_workdir(tmp_path, capsys, monkeypatch):
     assert (workdir / "nested.json").exists()
 
 
+def fails_before_any_work(tmp_path, capsys, monkeypatch, command, bad):
+    """Run command with {bad} as an output path: exit 2 with one error line
+    naming it, before the channel is loaded or anything is solved, and no
+    file made."""
+    channel = one_input_file(tmp_path)
+    calls = []
+    for name in ("load_channel", "solve_quantities", "build_instance"):
+        monkeypatch.setattr(bcc.cli, name, lambda *a, **k: calls.append(a))
+    bad = bad(channel)
+    argv = [arg.format(channel=channel, bad=bad) for arg in command]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", [
     ("solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint", "--out", "{bad}"),
     ("solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns", "--lp-export", "{bad}"),
     ("hardness", "--k1", "2", "--budget", "2", "--log", "{bad}"),
 ])
-def test_cli_unwritable_output_path_is_bad_input(tmp_path, capsys, command):
-    channel, bad = one_input_file(tmp_path), tmp_path / "no" / "such" / "dir" / "r.json"
-    argv = [arg.format(channel=channel, bad=bad) for arg in command]
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
+def test_cli_unwritable_output_path_is_bad_input(tmp_path, capsys, monkeypatch, command):
+    fails_before_any_work(tmp_path, capsys, monkeypatch, command,
+                          lambda channel: tmp_path / "no" / "such" / "dir" / "r.json")
+
+
+@pytest.mark.parametrize("command", [
+    ("tensor", "{channel}", "--n", "2", "--k1", "2", "--k2", "2", "--out", "{bad}"),
+    ("approx", "{channel}", "--k1", "2", "--k2", "2", "--out", "{bad}"),
+    ("solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns", "--lp-export", "{bad}"),
+])
+@pytest.mark.parametrize("bad", [lambda channel: channel / "r.json",   # parent is a file
+                                 lambda channel: channel.parent],      # a directory
+                         ids=["file-as-dir", "a-dir"])
+def test_cli_output_path_not_a_writable_file_is_bad_input(tmp_path, capsys, monkeypatch,
+                                                          command, bad):
+    fails_before_any_work(tmp_path, capsys, monkeypatch, command, bad)
+
+
+def test_cli_checks_output_paths_without_touching_them(tmp_path, capsys):
+    channel = one_input_file(tmp_path)
+    existing = tmp_path / "report.json"
+    existing.write_text("keep")
+    code, _, err = run_cli(capsys, "solve", str(channel), "--k1", "2", "--k2", "2",
+                           "--which", "joint", "--out", str(existing),
+                           "--lp-export", str(tmp_path / "missing" / "p.lp"))
+    assert code == 2 and "missing" in err
+    assert existing.read_text() == "keep"
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):

@@ -211,10 +211,11 @@ def test_lp_write_text_format():
 UNRELATED = LpModel(1, [1.0], [[1.0]], (LE,), [1.0])
 
 
-def cold_solve(model, **kwargs):
-    """Solve after an unrelated model, so that no phase 1 carries over."""
-    lp_solve(UNRELATED)
-    return lp_solve(model, **kwargs)
+def cold_solve(model, exact=False, **kwargs):
+    """Solve after an unrelated model in the same mode, so that no phase 1
+    carries over."""
+    lp_solve(UNRELATED, exact=exact)
+    return lp_solve(model, exact=exact, **kwargs)
 
 
 def bits(sol):
@@ -242,7 +243,7 @@ def test_shared_phase_one_matches_cold_solves(w, exact, monkeypatch):
         return real_phase1(*args)
 
     monkeypatch.setattr(bcc.simplex, "_phase1", counted)
-    lp_solve(UNRELATED)
+    lp_solve(UNRELATED, exact=exact)
     warm = [bits(lp_solve(model, exact=exact)) for model in models]
     assert warm == cold
     assert len(phase1_runs) == 2   # the unrelated model and the first box LP
