@@ -249,6 +249,26 @@ def test_shared_phase_one_matches_cold_solves(w, exact, monkeypatch):
     assert len(phase1_runs) == 2   # the unrelated model and the first box LP
 
 
+def test_alternating_modes_keep_one_phase_one_each(monkeypatch):
+    # Exact mode's float solve and its Fraction fallback alternate on one
+    # family of programs; neither evicts the other's phase 1.
+    models = decoder_box_models(random_dyadic_channel(2, 2, 2, seed=5))[:6]
+    cold = [(bits(cold_solve(m)), bits(cold_solve(m, exact=True))) for m in models]
+    phase1_runs = []
+    real_phase1 = bcc.simplex._phase1
+
+    def counted(*args):
+        phase1_runs.append(1)
+        return real_phase1(*args)
+
+    monkeypatch.setattr(bcc.simplex, "_phase1", counted)
+    lp_solve(UNRELATED)
+    lp_solve(UNRELATED, exact=True)
+    warm = [(bits(lp_solve(m)), bits(lp_solve(m, exact=True))) for m in models]
+    assert warm == cold
+    assert len(phase1_runs) == 4   # the unrelated model and the first box LP, per mode
+
+
 def test_phase_one_never_reused_across_modes_or_edits():
     model = LpModel(2, [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
                     (EQ, GE, LE), [2.0, 0.5, 1.5])   # needs phase 1
