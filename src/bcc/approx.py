@@ -21,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParametersError, InvariantViolationError, SideMismatchError
-from .graphs import (BipartiteGraph, Partition, distinct_values, quotient_edge_count,
-                     singleton_partition)
-
-DEFAULT_NUM_SAMPLES = 0
+from .graphs import (DEFAULT_NUM_SAMPLES, BipartiteGraph, Partition, distinct_values,
+                     quotient_edge_count, singleton_partition)
 
 
 @dataclass

@@ -13,19 +13,26 @@ invariants; one "internal error:" line goes to stderr).  The toolkit only
 builds feasible, bounded programs, so an infeasible or unbounded one is an
 internal error too.  Relative --out, --log and --lp-export paths land in
 $BCC_WORKDIR when it is set.
+
+A command imports only the solvers it runs: the names taken from exact,
+approx and hardness are stand-ins that import their module on the first
+call, so `bcc solve --which ns` never loads the enumeration, approximation
+or hardness code.  The defaults the parser shows for those modules live in
+graphs.  The program entry, bcc.__main__.run, freezes the garbage collector
+and then calls main; main itself does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import importlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-from .approx import DEFAULT_NUM_SAMPLES, approximate_dqg, degree_upper_bound
 from .channels import (
     DEFAULT_ENTRY_CAP,
     DeterministicChannel,
@@ -46,31 +53,42 @@ from .errors import (
     UnboundedError,
     ValidationError,
 )
-from .exact import (
-    DEFAULT_ENUM_CAP,
-    code_from_partitions,
-    joint_success,
-    solve_dqg,
-    solve_joint,
-    solve_ns_dec,
-    solve_sum,
-)
 from .files import load_channel
-from .hardness import (
-    AdaptiveBisection,
-    DEFAULT_DELTA,
-    RandomSubsets,
-    SingletonSweep,
-    build_instance,
-    leak_probability,
-    materialize_channel,
-    optimal_welfare,
-    run_query_experiment,
-    welfare_gap,
-)
+from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP, DEFAULT_NUM_SAMPLES
 from .nsprograms import build_ns_joint, build_ns_sum, solve_ns
 from .reporting import DEFAULT_CHECK_TOL, Report
 from .simplex import lp_write_text
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for bcc.<module>.<name> that imports the module on its first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"bcc.{module}.{name}, imported on first call."
+    return call
+
+
+# Each command calls some of these, so a run imports only its own solvers.
+# Tests and tracers replace these names here, where the commands look them up.
+approximate_dqg = _deferred("approx", "approximate_dqg")
+degree_upper_bound = _deferred("approx", "degree_upper_bound")
+code_from_partitions = _deferred("exact", "code_from_partitions")
+joint_success = _deferred("exact", "joint_success")
+solve_dqg = _deferred("exact", "solve_dqg")
+solve_joint = _deferred("exact", "solve_joint")
+solve_ns_dec = _deferred("exact", "solve_ns_dec")
+solve_sum = _deferred("exact", "solve_sum")
+AdaptiveBisection = _deferred("hardness", "AdaptiveBisection")
+RandomSubsets = _deferred("hardness", "RandomSubsets")
+SingletonSweep = _deferred("hardness", "SingletonSweep")
+build_instance = _deferred("hardness", "build_instance")
+leak_probability = _deferred("hardness", "leak_probability")
+materialize_channel = _deferred("hardness", "materialize_channel")
+optimal_welfare = _deferred("hardness", "optimal_welfare")
+run_query_experiment = _deferred("hardness", "run_query_experiment")
+welfare_gap = _deferred("hardness", "welfare_gap")
 
 EXIT_OK, EXIT_INVALID, EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INTERNAL = 0, 2, 3, 4, 5
 WORKDIR_ENV = "BCC_WORKDIR"

@@ -24,6 +24,11 @@ from .errors import (
 )
 
 DEFAULT_ENUM_CAP = 10**7
+# The defaults of approx.approximate_dqg and hardness.build_instance live here,
+# beside the enumeration cap, so that the command-line parser can show them
+# without importing either module; both re-export them.
+DEFAULT_NUM_SAMPLES = 0
+DEFAULT_DELTA = 0.25
 
 
 def _check_cap(cap: int) -> None:

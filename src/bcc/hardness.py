@@ -26,9 +26,8 @@ import numpy as np
 
 from .channels import DEFAULT_ENTRY_CAP, ChannelTable, validate_channel
 from .errors import BadParametersError, EnumerationCapExceededError, SizeCapExceededError
-from .graphs import DEFAULT_ENUM_CAP
+from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP
 
-DEFAULT_DELTA = 0.25
 PLANTED, FLAT = "planted", "flat"
 _VARIANTS = (PLANTED, FLAT)
 

@@ -101,6 +101,10 @@ class LpModel:
 class LpSolution:
     """An optimum, its vertex, the pivots taken and the final basis.
 
+    pivots counts the pivots Bland's rule chose in both phases; the pivots
+    that drive artificials out of the basis after phase 1 count only
+    against max_pivots.
+
     The basis holds column indices of [A | D], where D has one unit column
     per row: column n + i is row i's slack, +1 on a <= row and -1 on a >=
     row, or on an = row the artificial of a row that phase 1 dropped as
@@ -229,12 +233,16 @@ class _Tableau:
                 if phase == 1:
                     raise InvariantViolationError("phase-1 objective unbounded")
                 raise UnboundedError("objective is unbounded above")
-            self.pivots += 1
-            if self.pivots > self.max_pivots:
-                raise IterationLimitError(self.pivots)
-            self.pivot(p, q)
+            self.counted_pivot(p, q)
             self.subtract_row(r, r[q], p)
             r[q] = self.zero
+
+    def counted_pivot(self, p: int, q: int):
+        """Pivot, counting the pivot against max_pivots."""
+        self.pivots += 1
+        if self.pivots > self.max_pivots:
+            raise IterationLimitError(self.pivots)
+        self.pivot(p, q)
 
 
 class _ExactTableau(_Tableau):
@@ -284,13 +292,17 @@ class _Phase1:
     The tableau and the basis (read-only) have the artificial columns and
     the redundant rows dropped.  columns maps each tableau column to its
     column of [A | D] (see LpSolution), and redundant lists the original
-    rows whose artificial stayed basic, that is the rows dropped.
+    rows whose artificial stayed basic, that is the rows dropped.  pivots
+    counts every pivot taken, driven of them to pivot surviving artificials
+    out; both count against max_pivots, but a solution reports pivots -
+    driven.
     """
 
     key: tuple
     tableau: np.ndarray
     basis: np.ndarray
     pivots: int
+    driven: int
     columns: np.ndarray
     redundant: np.ndarray
 
@@ -332,6 +344,7 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
 
     tab = tableau_cls(T, basis, 0, max_pivots)
     kept = np.ones(m, dtype=bool)
+    driven = 0
     if art_rows.size:
         cost1 = np.full(ncols, zero, dtype=tableau_cls.dtype)
         cost1[art_start:] = -one
@@ -343,7 +356,8 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
         for i in np.flatnonzero(basis >= art_start):
             nonzero = np.flatnonzero(abs(T[i, :art_start]) > tableau_cls.pivot_tol)
             if nonzero.size:
-                tab.pivot(i, int(nonzero[0]))
+                tab.counted_pivot(i, int(nonzero[0]))
+                driven += 1
             else:
                 kept[i] = False
     # The artificial basic in a dropped tableau row can be another row's:
@@ -352,7 +366,8 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
     T = np.asarray(T[np.ix_(kept, np.r_[:art_start, ncols])], order=tableau_cls.order)
     basis = basis[kept]
     T.flags.writeable = basis.flags.writeable = False
-    return _Phase1(key, T, basis, tab.pivots, np.r_[:n, n + slack_rows], redundant)
+    return _Phase1(key, T, basis, tab.pivots, driven,
+                   np.r_[:n, n + slack_rows], redundant)
 
 
 def lp_solve(model: LpModel, exact: bool = False,
@@ -389,7 +404,7 @@ def lp_solve(model: LpModel, exact: bool = False,
     if violation > tableau_cls.check_tol:
         raise InvariantViolationError(f"optimal point violates a constraint by {violation}")
     basis = np.concatenate([start.columns[tab.basis], n + start.redundant])
-    return LpSolution("optimal", value, x, tab.pivots, basis)
+    return LpSolution("optimal", value, x, tab.pivots - start.driven, basis)
 
 
 def _basis_duals(model: LpModel, basis: np.ndarray) -> np.ndarray:

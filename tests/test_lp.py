@@ -289,6 +289,8 @@ def test_phase_one_never_reused_across_modes_or_edits():
 def test_shared_phase_one_respects_the_pivot_limit():
     model = build_decoder_box_lp(random_channel(3, 3, 3, seed=6), [[0, 1], [2, 0]], 2, 2)
     full = lp_solve(model)
+    taken = full.pivots + bcc.simplex._last_phase1[False].driven
+    assert taken > full.pivots
 
     def outcome(solve, limit):
         try:
@@ -296,12 +298,25 @@ def test_shared_phase_one_respects_the_pivot_limit():
         except IterationLimitError as exc:
             return exc.pivots
 
-    for limit in range(full.pivots + 1):
+    for limit in range(taken + 1):
         lp_solve(model)   # leaves this model's phase 1 behind
         assert outcome(lp_solve, limit) == outcome(cold_solve, limit)
     lp_solve(model)
     assert outcome(lp_solve, 0) == 1
-    assert outcome(lp_solve, full.pivots) == bits(full)
+    assert outcome(lp_solve, taken - 1) == taken
+    assert outcome(lp_solve, taken) == bits(full)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_pivots_that_drive_artificials_out_count_against_the_limit(exact):
+    # Phase 1 takes 9 pivots, 2 of them to pivot artificials out of the
+    # basis, and phase 2 takes 4: 11 reported, 13 taken.
+    model = build_decoder_box_lp(random_channel(2, 2, 2, seed=0), [[0, 1], [1, 0]], 2, 2)
+    for solve in (cold_solve, lp_solve):   # a fresh phase 1, then the one left behind
+        with pytest.raises(IterationLimitError) as raised:
+            solve(model, exact=exact, max_pivots=12)
+        assert raised.value.pivots == 13
+        assert solve(model, exact=exact, max_pivots=13).pivots == 11
 
 
 def test_infeasible_model_raises_on_every_call():

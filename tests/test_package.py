@@ -1,0 +1,177 @@
+"""The package surface and the program entry.
+
+`import bcc` loads no submodule, a `bcc` process loads only the solvers its
+command runs, the public names are those of the eager package before it,
+and `python -m bcc` behaves as cli.main, with the collector frozen.
+"""
+
+import gc
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bcc
+import bcc.cli
+from bcc import random_dyadic_channel, save_channel
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(bcc.__file__).parents[1])   # the package this suite imported
+
+SUBMODULES = ["approx", "channels", "errors", "exact", "files", "generators", "graphs",
+              "hardness", "nsprograms", "reporting", "simplex"]
+
+EXPORTED = [
+    "AdaptiveBisection", "ApproxResult", "BadParametersError", "BipartiteGraph",
+    "ChannelTable", "Check", "Code", "DEFAULT_CHECK_TOL", "DeterministicChannel",
+    "DimensionMismatchError", "EQ", "EnumerationCapExceededError", "GE",
+    "HardnessInstance", "InfeasibleError", "InvariantViolationError",
+    "IterationLimitError", "LE", "LpModel", "LpSolution", "MarginalTable",
+    "NegativeProbabilityError", "NotDeterministicError", "NsSolution", "ParseError",
+    "Partition", "QueryLog", "RandomSubsets", "Report", "RowNotNormalizedError",
+    "SideMismatchError", "SingletonSweep", "SizeCapExceededError", "SolveReport",
+    "ToolkitError", "UnboundedError", "ValidationError", "approx", "approximate_dqg",
+    "build_decoder_box_lp", "build_instance", "build_ns_full", "build_ns_joint",
+    "build_ns_sum", "certify", "channel_from_dict", "channel_graph", "channel_to_dict",
+    "channels", "chernoff_bound", "code_from_partitions", "constraint_violation",
+    "degree_upper_bound", "derandomize_left", "distinct_left_neighbors",
+    "dumps_canonical", "enumerate_partitions", "errors", "exact",
+    "exact_expected_edges", "expected_min_poisson", "extract_ns_solution", "files",
+    "generators", "graphs", "greedy_welfare", "hardness", "joint_success", "jsonify",
+    "leak_probability", "left_degree_bound", "load_channel", "lp_solve",
+    "lp_write_text", "make_check", "make_graph", "marginals", "materialize_channel",
+    "nsprograms", "optimal_welfare", "poisson_concavity_ratio", "quotient_edge_count",
+    "random_bipartite_graph", "random_channel", "random_code",
+    "random_deterministic_channel", "random_dyadic_channel", "random_equipartition",
+    "random_feasible_lp", "random_left_partition", "reconstruct_full_box", "reporting",
+    "run_query_experiment", "save_channel", "simplex", "singleton_partition",
+    "solve_dqg", "solve_exact", "solve_joint", "solve_ns", "solve_ns_dec", "solve_sum",
+    "sum_success", "tensor_power", "to_deterministic", "validate_channel",
+    "value_oracle", "welfare_gap",
+]
+"""bcc.__all__ of the package when it imported every submodule up front."""
+
+
+def python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+@pytest.fixture
+def channel(tmp_path):
+    path = tmp_path / "channel.json"
+    save_channel(random_dyadic_channel(2, 2, 2, seed=0), path)
+    return path
+
+
+def test_all_is_the_pinned_list():
+    assert bcc.__all__ == EXPORTED
+    assert set(EXPORTED) <= set(dir(bcc))
+
+
+CONSTANTS = {"DEFAULT_CHECK_TOL": "reporting", "EQ": "simplex", "GE": "simplex",
+             "LE": "simplex"}
+"""The defining module of each exported name that has no __module__."""
+
+
+def test_every_name_is_its_modules_own_object():
+    for name in EXPORTED:
+        value = getattr(bcc, name)
+        if name in SUBMODULES:
+            assert value is importlib.import_module(f"bcc.{name}")
+            continue
+        module = f"bcc.{CONSTANTS[name]}" if name in CONSTANTS else value.__module__
+        assert module.startswith("bcc.") and module != "bcc.cli", name
+        assert getattr(importlib.import_module(module), name) is value, name
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from bcc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTED)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bcc.no_such_name
+
+
+def test_plain_import_loads_no_submodule_and_resolves_each_on_use():
+    code = ("import sys, bcc; "
+            "before = sorted(m for m in sys.modules if m.startswith('bcc.')); "
+            "names = [getattr(bcc, m).__name__ for m in sys.argv[1:]]; "
+            "print(before, names)")
+    proc = python("-c", code, *SUBMODULES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == f"{[]} {[f'bcc.{m}' for m in SUBMODULES]}\n"
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 5
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns", "--exact"],
+     [], ["exact", "approx", "hardness", "generators"]),
+    (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint"],
+     ["exact"], ["approx", "hardness", "generators"]),
+    (["hardness", "--k1", "2", "--budget", "4"],
+     ["hardness"], ["exact", "approx", "generators"]),
+], ids=["solve-ns-exact", "solve-joint", "hardness"])
+def test_a_command_imports_only_the_solvers_it_runs(channel, tmp_path, argv, loaded,
+                                                    not_loaded):
+    code = ("import json, sys, bcc.cli; "
+            "code = bcc.cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, [m[4:] for m in sys.modules if m.startswith('bcc.')]]))")
+    argv = [arg.format(channel=channel) for arg in argv]
+    proc = python("-c", code, *argv, "--out", str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert set(loaded) <= set(modules) and not set(not_loaded) & set(modules), modules
+
+
+def test_in_process_main_leaves_the_collector_alone(channel, capsys):
+    before = gc.get_freeze_count()
+    assert bcc.cli.main(["solve", str(channel), "--k1", "2", "--k2", "2",
+                         "--which", "ns"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_python_m_bcc_prints_what_main_prints(channel, capsysbinary):
+    argv = ["solve", str(channel), "--k1", "2", "--k2", "2", "--which", "all",
+            "--exact", "--verify"]
+    assert bcc.cli.main(argv) == 0
+    proc = python("-m", "bcc", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+def test_python_m_bcc_exit_codes(channel, tmp_path):
+    proc = python("-m", "bcc", "solve", str(tmp_path / "missing.json"), "--k1", "2",
+                  "--k2", "2")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ")
+    proc = python("-m", "bcc", "solve", str(channel), "--k1", "2", "--k2", "2",
+                  "--which", "joint", "sum", "--verify", "--check-tol=-1")
+    assert proc.returncode == 4
+    assert b"check failed:" in proc.stderr and json.loads(proc.stdout)["checks"]
+
+
+def test_the_entry_freezes_the_imports_before_main(channel, tmp_path):
+    code = ("import gc, sys; from bcc.__main__ import run; "
+            "frozen = gc.get_freeze_count(); code = run(); "
+            "print(frozen, gc.get_freeze_count() > 0, code, file=sys.stderr)")
+    proc = python("-c", code, "solve", str(channel), "--k1", "2", "--k2", "2",
+                  "--which", "ns", "--out", str(tmp_path / "report.json"))
+    assert (proc.returncode, proc.stderr) == (0, b"0 True 0\n")
