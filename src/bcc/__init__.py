@@ -7,7 +7,9 @@ instances showing that value queries cannot find the welfare optimum.
 
 The package imports its submodules on first use: `import bcc` loads none
 of them, and `bcc.solve_ns` or `bcc.exact` imports the module that defines
-it (PEP 562).  So a `bcc` command pays only for the solvers it runs.
+it (PEP 562).  Inside the package, cli and exact do the same for single
+functions through _deferred.  So a `bcc` command pays only for the solvers
+it runs.
 """
 
 import importlib
@@ -146,3 +148,21 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for bcc.<module>.<name> that imports the module on its first call.
+
+    cli and exact bind the solvers they call into other modules to stand-ins,
+    so that importing them loads none of those modules: a process imports
+    nsprograms and simplex only when it first solves a linear program.  The
+    stand-in looks the name up on every call, so a patch of
+    bcc.<module>.<name> reaches every caller; a patch of the stand-in itself
+    reaches only the callers in its own module.
+    """
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __name__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"bcc.{module}.{name}, imported on first call."
+    return call

@@ -1,7 +1,7 @@
 """The program entry of `python -m bcc` and of the `bcc` console script.
 
 run() imports the command-line interface, then calls gc.freeze() before
-cli.main: the objects the imports created (about 22 000, most of them
+cli.main: the objects the imports created (about 21 500, most of them
 numpy's) move to the collector's permanent generation, so neither the
 run's collections nor the collection at interpreter exit traverse them
 again.  cli.main itself, which tests and library callers run in process,

@@ -15,24 +15,26 @@ internal error too.  Relative --out, --log and --lp-export paths land in
 $BCC_WORKDIR when it is set.
 
 A command imports only the solvers it runs: the names taken from exact,
-approx and hardness are stand-ins that import their module on the first
-call, so `bcc solve --which ns` never loads the enumeration, approximation
-or hardness code.  The defaults the parser shows for those modules live in
-graphs.  The program entry, bcc.__main__.run, freezes the garbage collector
-and then calls main; main itself does not.
+approx, hardness, nsprograms and simplex are stand-ins (bcc._deferred) that
+import their module on the first call.  So `bcc solve --which ns` never
+loads the enumeration, approximation or hardness code, and `bcc solve
+--which joint sum`, `bcc approx` and `bcc hardness` never load the linear
+programs or the simplex.  The defaults the parser shows for those modules
+live in graphs.  The program entry, bcc.__main__.run, freezes the garbage
+collector and then calls main; main itself does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import importlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
+from . import _deferred
 from .channels import (
     DEFAULT_ENTRY_CAP,
     DeterministicChannel,
@@ -55,20 +57,7 @@ from .errors import (
 )
 from .files import load_channel
 from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP, DEFAULT_NUM_SAMPLES
-from .nsprograms import build_ns_joint, build_ns_sum, solve_ns
 from .reporting import DEFAULT_CHECK_TOL, Report
-from .simplex import lp_write_text
-
-
-def _deferred(module: str, name: str):
-    """A stand-in for bcc.<module>.<name> that imports the module on its first call."""
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    call.__doc__ = f"bcc.{module}.{name}, imported on first call."
-    return call
-
 
 # Each command calls some of these, so a run imports only its own solvers.
 # Tests and tracers replace these names here, where the commands look them up.
@@ -89,6 +78,10 @@ materialize_channel = _deferred("hardness", "materialize_channel")
 optimal_welfare = _deferred("hardness", "optimal_welfare")
 run_query_experiment = _deferred("hardness", "run_query_experiment")
 welfare_gap = _deferred("hardness", "welfare_gap")
+build_ns_joint = _deferred("nsprograms", "build_ns_joint")
+build_ns_sum = _deferred("nsprograms", "build_ns_sum")
+solve_ns = _deferred("nsprograms", "solve_ns")
+lp_write_text = _deferred("simplex", "lp_write_text")
 
 EXIT_OK, EXIT_INVALID, EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INTERNAL = 0, 2, 3, 4, 5
 WORKDIR_ENV = "BCC_WORKDIR"

@@ -21,7 +21,10 @@ and the box's two outputs with them, maps feasible boxes to feasible boxes
 of the same value, so only the lexicographically smallest encoder of each
 orbit of S_k1 x S_k2 is solved.  Its count and cap stay the number of
 labelled encoders, |X|^(k1 k2).  The programs share their constraints, so
-only the first pays for the simplex's phase 1.
+only the first pays for the simplex's phase 1.  It is the one solver here
+that needs a linear program: build_decoder_box_lp, lp_solve and solve_exact
+are stand-ins that import nsprograms and simplex on its first call, so
+importing this module loads neither.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
@@ -46,11 +49,15 @@ from itertools import chain, permutations, product
 
 import numpy as np
 
+from . import _deferred
 from .channels import DEFAULT_ENTRY_CAP, ChannelTable, DeterministicChannel
 from .errors import DimensionMismatchError, EnumerationCapExceededError, SizeCapExceededError
-from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition, _check_cap
-from .nsprograms import _check_k, _decoder_box_objective, build_decoder_box_lp
-from .simplex import lp_solve, solve_exact
+from .graphs import DEFAULT_ENUM_CAP, BipartiteGraph, Partition, _check_cap, _check_k
+
+# Tests and tracers replace these names here, where solve_ns_dec looks them up.
+build_decoder_box_lp = _deferred("nsprograms", "build_decoder_box_lp")
+lp_solve = _deferred("simplex", "lp_solve")
+solve_exact = _deferred("simplex", "solve_exact")
 
 
 @dataclass(frozen=True)
@@ -311,6 +318,8 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     Exact mode solves each through solve_exact, a float solve with a rational
     certificate, or the Fraction simplex when the certificate fails.
     """
+    from .nsprograms import _decoder_box_objective
+
     _check_k(k1, k2)
     _check_cap(cap)
     nx = w.input_size

@@ -37,6 +37,12 @@ def _check_cap(cap: int) -> None:
         raise BadParametersError(f"cap must be >= 0, got {cap}")
 
 
+def _check_k(k1: int, k2: int) -> None:
+    """Refuse message counts below one."""
+    if k1 < 1 or k2 < 1:
+        raise BadParametersError("message counts must be >= 1")
+
+
 def distinct_values(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array.  Sorting and masking repeats is
     about 20x faster than np.unique, which hashes first (numpy 2.4)."""

@@ -32,16 +32,12 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
+from .graphs import _check_k
 from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve, solve_exact
 
 DEFAULT_FULL_VAR_CAP = 20_000
 FULL_DENSE_ENTRY_CAP = 10**7  # rows x variables of the dense full-box matrix, 80 MB
 EXTRACT_TOL = 1e-7
-
-
-def _check_k(k1: int, k2: int):
-    if k1 < 1 or k2 < 1:
-        raise BadParametersError("message counts must be >= 1")
 
 
 def _assemble(n: int, families, cap: int) -> tuple:

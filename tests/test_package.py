@@ -18,7 +18,7 @@ import pytest
 
 import bcc
 import bcc.cli
-from bcc import random_dyadic_channel, save_channel
+from bcc import random_deterministic_channel, random_dyadic_channel, save_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(bcc.__file__).parents[1])   # the package this suite imported
@@ -67,6 +67,13 @@ def python(*args):
 def channel(tmp_path):
     path = tmp_path / "channel.json"
     save_channel(random_dyadic_channel(2, 2, 2, seed=0), path)
+    return path
+
+
+@pytest.fixture
+def det_channel(tmp_path):
+    path = tmp_path / "det_channel.json"
+    save_channel(random_deterministic_channel(6, 3, 3, seed=0), path)
     return path
 
 
@@ -119,25 +126,43 @@ def test_readme_python_api_block_runs(capsys):
     assert capsys.readouterr().out.count("\n") == 5
 
 
+LP = ["nsprograms", "simplex"]
+
+
 @pytest.mark.parametrize("argv, loaded, not_loaded", [
     (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns", "--exact"],
-     [], ["exact", "approx", "hardness", "generators"]),
+     LP, ["exact", "approx", "hardness", "generators"]),
     (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint"],
-     ["exact"], ["approx", "hardness", "generators"]),
+     ["exact"], ["approx", "hardness", "generators", *LP]),
+    (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint", "sum"],
+     ["exact"], ["approx", "hardness", "generators", *LP]),
+    (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "ns-dec"],
+     ["exact", *LP], ["approx", "hardness", "generators"]),
+    (["approx", "{det_channel}", "--k1", "2", "--k2", "2"],
+     ["approx", "exact"], ["hardness", "generators", *LP]),
     (["hardness", "--k1", "2", "--budget", "4"],
-     ["hardness"], ["exact", "approx", "generators"]),
-], ids=["solve-ns-exact", "solve-joint", "hardness"])
-def test_a_command_imports_only_the_solvers_it_runs(channel, tmp_path, argv, loaded,
-                                                    not_loaded):
+     ["hardness"], ["exact", "approx", "generators", *LP]),
+], ids=["solve-ns-exact", "solve-joint", "solve-joint-sum", "solve-ns-dec", "approx",
+        "hardness"])
+def test_a_command_imports_only_the_solvers_it_runs(channel, det_channel, tmp_path, argv,
+                                                    loaded, not_loaded):
     code = ("import json, sys, bcc.cli; "
             "code = bcc.cli.main(sys.argv[1:]); "
             "print(json.dumps([code, [m[4:] for m in sys.modules if m.startswith('bcc.')]]))")
-    argv = [arg.format(channel=channel) for arg in argv]
+    argv = [arg.format(channel=channel, det_channel=det_channel) for arg in argv]
     proc = python("-c", code, *argv, "--out", str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
     exit_code, modules = json.loads(proc.stdout)
     assert exit_code == 0
     assert set(loaded) <= set(modules) and not set(not_loaded) & set(modules), modules
+
+
+def test_importing_exact_loads_no_linear_program_code():
+    code = ("import sys, bcc.exact; "
+            "print(sorted(m for m in sys.argv[1:] if m in sys.modules))")
+    proc = python("-c", code, "bcc.nsprograms", "bcc.simplex", "fractions", "decimal")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == f"{[]}\n"
 
 
 def test_in_process_main_leaves_the_collector_alone(channel, capsys):
