@@ -12,7 +12,7 @@ functions through _deferred.  So a `bcc` command pays only for the solvers
 it runs.
 """
 
-import importlib
+import sys
 
 _EXPORTS = {
     "approx": (
@@ -138,11 +138,17 @@ __version__ = "0.1.0"
 __all__ = sorted([*_EXPORTS, *_MODULE_OF])
 
 
+def _load(module: str):
+    """bcc.<module>, imported by __import__, which python -X importtime logs."""
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _load(name)
     if name in _MODULE_OF:
-        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        return getattr(_load(_MODULE_OF[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -161,7 +167,7 @@ def _deferred(module: str, name: str):
     reaches only the callers in its own module.
     """
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(f".{module}", __name__), name)(*args, **kwargs)
+        return getattr(_load(module), name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     call.__doc__ = f"bcc.{module}.{name}, imported on first call."

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParametersError, InvariantViolationError, SideMismatchError
-from .graphs import (DEFAULT_NUM_SAMPLES, BipartiteGraph, Partition, distinct_values,
-                     quotient_edge_count, singleton_partition)
+from .graphs import (DEFAULT_NUM_SAMPLES, BipartiteGraph, Partition, _check_k,
+                     distinct_values, quotient_edge_count, singleton_partition)
 
 
 @dataclass
@@ -131,8 +131,7 @@ def greedy_welfare(g: BipartiteGraph, k1: int, k2: int) -> Partition:
     one by one; every earlier step raises the welfare, so there are at most
     k1 k2 of them.
     """
-    if k1 < 1 or k2 < 1:
-        raise BadParametersError("need k1 >= 1 and k2 >= 1")
+    _check_k(k1, k2)
     n = g.right_size
     U, V = g.edge_arrays
     # Edges U[i], V[i] are sorted by left end: V[out_start[u]:out_start[u + 1]]
@@ -191,8 +190,7 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     certificate compares against a degree-based upper bound on the true
     optimum, never against the heuristic value itself.
     """
-    if k1 < 1 or k2 < 1:
-        raise BadParametersError("need k1 >= 1 and k2 >= 1")
+    _check_k(k1, k2)
     if num_samples < 0 or seed < 0:
         raise BadParametersError("num_samples and seed must be >= 0")
 

@@ -88,9 +88,8 @@ class DeterministicChannel:
     def to_table(self) -> ChannelTable:
         """The dense 0/1 table, refused above DEFAULT_ENTRY_CAP entries.  The pairs
         are checked, so its rows need no validation."""
-        entries = self.input_size * self.out1_size * self.out2_size
-        if entries > DEFAULT_ENTRY_CAP:
-            raise SizeCapExceededError(entries, DEFAULT_ENTRY_CAP)
+        _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP,
+                   (self.input_size * self.out1_size * self.out2_size, 1))
         probs = np.zeros((self.input_size, self.out1_size, self.out2_size))
         probs[np.arange(self.input_size), self.pairs[:, 0], self.pairs[:, 1]] = 1.0
         probs.flags.writeable = False
@@ -137,17 +136,14 @@ def marginals(w: ChannelTable) -> tuple[MarginalTable, MarginalTable]:
 
 
 def tensor_power(w: ChannelTable, n: int, cap: int = DEFAULT_ENTRY_CAP) -> ChannelTable:
-    """n independent uses of w as one channel.
+    """n independent uses of w as one channel, refused above cap entries.
 
     Composite indices are row-major over the factors with position 0 most
     significant, so input (x_0, ..., x_{n-1}) becomes sum x_i |X|^(n-1-i).
     """
     if n < 1:
         raise ValidationError("tensor power needs n >= 1")
-    _check_cap(cap)
-    entries = (w.input_size * w.out1_size * w.out2_size) ** n
-    if entries > cap:
-        raise SizeCapExceededError(entries, cap)
+    _check_cap(SizeCapExceededError, cap, (w.input_size * w.out1_size * w.out2_size, n))
     result = w.probs
     for _ in range(n - 1):
         result = np.einsum("abc,def->adbecf", result, w.probs).reshape(

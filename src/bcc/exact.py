@@ -202,12 +202,8 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_table
     and the number of labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
-    _check_cap(cap)
-    candidates = k1**n1 * k2**n2
-    if candidates > cap:
-        raise EnumerationCapExceededError(candidates, cap)
-    if 1 << (n1 + n2) > DEFAULT_ENTRY_CAP:
-        raise SizeCapExceededError(1 << (n1 + n2), DEFAULT_ENTRY_CAP)
+    candidates = _check_cap(EnumerationCapExceededError, cap, (k1, n1), (k2, n2))
+    _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP, (2, n1 + n2))
 
     table = np.full((1 << n1, 1 << n2), -np.inf)
     argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
@@ -321,11 +317,8 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     from .nsprograms import _decoder_box_objective
 
     _check_k(k1, k2)
-    _check_cap(cap)
     nx = w.input_size
-    candidates = nx ** (k1 * k2)
-    if candidates > cap:
-        raise EnumerationCapExceededError(candidates, cap)
+    candidates = _check_cap(EnumerationCapExceededError, cap, (nx, k1 * k2))
 
     box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
     best_val, best_enc = None, None

@@ -11,7 +11,9 @@ into a boolean table over the k1 k2 part pairs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +33,24 @@ DEFAULT_NUM_SAMPLES = 0
 DEFAULT_DELTA = 0.25
 
 
-def _check_cap(cap: int) -> None:
-    """Refuse a negative size or enumeration cap; zero is a cap every run exceeds."""
+def _check_cap(error, cap: int, *powers) -> int:
+    """Return prod(base**exponent for base, exponent in powers), or raise
+    error(count, cap) above the cap; a negative cap is BadParametersError.
+
+    The count is bounded by its bit length before it is built.  One of 2^15
+    bits or more (Python prints an int of at most 4300 digits), or one too
+    long to print, is written as its powers, such as 3**10000."""
     if cap < 0:
         raise BadParametersError(f"cap must be >= 0, got {cap}")
+    powers = [(int(b), int(e)) for b, e in powers]
+    low_bits = sum(e * (b.bit_length() - 1) for b, e in powers)  # count >= 2**low_bits
+    if low_bits < max(1 << 15, cap.bit_length()):
+        count = math.prod(b**e for b, e in powers)
+        if count <= cap:
+            return count
+        with contextlib.suppress(ValueError):  # raised when the message cannot print count
+            raise error(count, cap)
+    raise error(" * ".join(f"{b}**{e}" for b, e in powers), cap)
 
 
 def _check_k(k1: int, k2: int) -> None:
@@ -164,14 +180,10 @@ def distinct_left_neighbors(g: BipartiteGraph, right_subset) -> int:
 
 
 def enumerate_partitions(ground_size: int, num_parts: int, cap: int = DEFAULT_ENUM_CAP):
-    """Yield every partition of range(ground_size) into num_parts labeled parts.
-
-    Streams in lexicographic order of the assignment tuple; refuses upfront
-    when num_parts ** ground_size exceeds the cap.
+    """An iterator over every partition of range(ground_size) into num_parts
+    labeled parts, in lexicographic order of the assignment tuple.  Refused at
+    the call when num_parts ** ground_size exceeds the cap.
     """
-    _check_cap(cap)
-    total = num_parts**ground_size
-    if total > cap:
-        raise EnumerationCapExceededError(total, cap)
-    for assignment in itertools.product(range(num_parts), repeat=ground_size):
-        yield Partition(ground_size, num_parts, assignment)
+    _check_cap(EnumerationCapExceededError, cap, (num_parts, ground_size))
+    return (Partition(ground_size, num_parts, assignment)
+            for assignment in itertools.product(range(num_parts), repeat=ground_size))

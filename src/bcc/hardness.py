@@ -17,7 +17,6 @@ the oracles; experiments that want separations need delta < 1/4.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import DEFAULT_ENTRY_CAP, ChannelTable, validate_channel
-from .errors import BadParametersError, EnumerationCapExceededError, SizeCapExceededError
-from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP
+from .errors import BadParametersError, SizeCapExceededError
+from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP, _check_cap, enumerate_partitions
 
 PLANTED, FLAT = "planted", "flat"
 _VARIANTS = (PLANTED, FLAT)
@@ -77,6 +76,10 @@ def build_instance(k1: int, delta: float = DEFAULT_DELTA, seed: int = 0) -> Hard
     if seed < 0:
         raise BadParametersError("seed must be >= 0")
     m = k1 * k1
+    try:  # the largest powers of m the instance uses; m^(2 delta) is below them
+        _ = m ** (3.0 * delta), m ** (1.0 + 2.0 * delta)
+    except OverflowError:
+        raise BadParametersError(f"delta {delta} overflows a float power of m = {m}") from None
     blocks = random_equipartition(m, k1, seed)
     return HardnessInstance(k1, float(delta), m, blocks, seed)
 
@@ -106,17 +109,15 @@ def value_oracle(inst: HardnessInstance, which: str, subset) -> float:
 
 def materialize_channel(inst: HardnessInstance, which: str = PLANTED,
                         cap: int = DEFAULT_ENTRY_CAP) -> ChannelTable:
-    """Dense table of the instance channel.
+    """Dense table of the instance channel, refused above cap entries.
 
     Inputs and second outputs share the alphabet [m + k1 + 1]; the second
     output cyclically shifts which input plays which role, so every column
     y2 repeats the y2 = 0 block under the translation x -> (x + y2) mod |X|.
     """
     _check_variant(which)
-    m, k1 = inst.m, inst.k1
-    nx = inst.num_inputs
-    if nx * m * nx > cap:
-        raise SizeCapExceededError(nx * m * nx, cap)
+    m, k1, nx = inst.m, inst.k1, inst.num_inputs
+    _check_cap(SizeCapExceededError, cap, (nx * m * nx, 1))
     base = np.zeros((nx, m))
     for x in range(m):
         base[x, x] = m ** (2.0 * inst.delta)
@@ -138,9 +139,9 @@ def optimal_welfare(inst: HardnessInstance, which: str = PLANTED,
 
     Closed form: the planted value is m (blocks as bundles); the flat value
     is (k1 - 1) m^(2 delta) + (m - k1 + 1) m^(delta - 1/2), from k1 - 1
-    singletons plus the rest.  Exhaustive mode enumerates k1^m assignments;
-    for the planted variant with larger delta it can exceed the closed form,
-    which reports the planted witness value.
+    singletons plus the rest.  Exhaustive mode enumerates the k1^m labelled
+    partitions, refused above cap; for the planted variant with larger delta
+    it can exceed the closed form, which reports the planted witness value.
     """
     _check_variant(which)
     m, k1, d = inst.m, inst.k1, inst.delta
@@ -150,17 +151,12 @@ def optimal_welfare(inst: HardnessInstance, which: str = PLANTED,
         return (k1 - 1) * m ** (2.0 * d) + (m - k1 + 1) * m ** (d - 0.5)
     if method != "exhaustive":
         raise BadParametersError("method must be 'closed_form' or 'exhaustive'")
-    total = k1**m
-    if total > cap:
-        raise EnumerationCapExceededError(total, cap)
 
-    def welfare(assignment) -> float:
-        bundles = [[] for _ in range(k1)]
-        for item, part in enumerate(assignment):
-            bundles[part].append(item)
-        return sum(value_oracle(inst, which, bundle) for bundle in bundles)
+    def welfare(p) -> float:
+        return sum(value_oracle(inst, which, (i for i in range(m) if p.assignment[i] == j))
+                   for j in range(k1))
 
-    return max(map(welfare, itertools.product(range(k1), repeat=m)))
+    return max(map(welfare, enumerate_partitions(m, k1, cap)))
 
 
 def welfare_gap(inst: HardnessInstance) -> float:

@@ -32,7 +32,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import _check_k
+from .graphs import _check_cap, _check_k
 from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve, solve_exact
 
 DEFAULT_FULL_VAR_CAP = 20_000
@@ -52,8 +52,7 @@ def _assemble(n: int, families, cap: int) -> tuple:
     counts = [math.prod(np.broadcast_shapes(*(np.shape(idx) for idx, _ in terms)))
               for terms, _, _ in families]
     total = sum(counts)
-    if total * n > cap:
-        raise SizeCapExceededError(total * n, cap)
+    _check_cap(SizeCapExceededError, cap, (total * n, 1))
     rows = np.zeros((total, n))
     start = 0
     for (terms, _, _), count in zip(families, counts):
@@ -159,9 +158,7 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     shape = (nx, k1, k2, k1, k2, n1, n2)
-    n = int(np.prod(shape))
-    if n > cap:
-        raise SizeCapExceededError(n, cap)
+    n = _check_cap(SizeCapExceededError, cap, (math.prod(shape), 1))
     v = np.arange(n).reshape(shape)
 
     # Each index array below puts the summed axis first and the row axes

@@ -49,6 +49,7 @@ from .errors import (
     UnboundedError,
     ValidationError,
 )
+from .graphs import _check_cap
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -377,8 +378,8 @@ def lp_solve(model: LpModel, exact: bool = False,
     Phase 1 is skipped when the previous call in the same mode ran it on the
     same constraints; the result and its pivot count are those of a full solve.
     """
-    if exact and model.num_vars > EXACT_VAR_CAP:
-        raise SizeCapExceededError(model.num_vars, EXACT_VAR_CAP)
+    if exact:
+        _check_cap(SizeCapExceededError, EXACT_VAR_CAP, (model.num_vars, 1))
     tableau_cls = _ExactTableau if exact else _Tableau
     key = _constraint_key(model, exact)
     start = _last_phase1.get(exact)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +117,17 @@ def test_tensor_power_cap():
     w = random_channel(4, 4, 4, seed=0)
     with pytest.raises(SizeCapExceededError):
         tensor_power(w, 5, cap=10**6)
+
+
+def test_tensor_power_cap_refuses_a_huge_count_unbuilt():
+    # 64^(10^9) would take hours to build; its bit length alone refuses it.
+    w = random_channel(4, 4, 4, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceededError) as err:
+        tensor_power(w, 10**9)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "required size 64**1000000000 exceeds cap 100000000"
+    assert err.value.needed == "64**1000000000"
 
 
 def test_deterministic_round_trip_and_graph():

@@ -20,11 +20,15 @@ from bcc import (
     EnumerationCapExceededError,
     Partition,
     SizeCapExceededError,
+    build_instance,
+    build_ns_full,
     channel_graph,
     code_from_partitions,
     enumerate_partitions,
     joint_success,
     make_graph,
+    materialize_channel,
+    optimal_welfare,
     quotient_edge_count,
     random_channel,
     random_code,
@@ -413,6 +417,7 @@ def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
 def test_negative_caps_are_bad_parameters():
     w = random_channel(2, 2, 2, seed=0)
     g = channel_graph(random_deterministic_channel(3, 2, 2, seed=0))
+    inst = build_instance(2)
     capped = {
         "solve_joint": lambda cap: solve_joint(w, 2, 2, cap=cap),
         "solve_sum": lambda cap: solve_sum(w, 2, 2, cap=cap),
@@ -420,13 +425,17 @@ def test_negative_caps_are_bad_parameters():
         "solve_ns_dec": lambda cap: solve_ns_dec(w, 2, 2, cap=cap),
         "tensor_power": lambda cap: tensor_power(w, 2, cap=cap),
         "enumerate_partitions": lambda cap: next(enumerate_partitions(3, 2, cap=cap)),
+        "materialize_channel": lambda cap: materialize_channel(inst, cap=cap),
+        "optimal_welfare": lambda cap: optimal_welfare(inst, method="exhaustive", cap=cap),
+        "build_ns_full": lambda cap: build_ns_full(w, 2, 2, cap=cap),
     }
+    sized = {"tensor_power", "materialize_channel", "build_ns_full"}
     for name, run in capped.items():
         for cap in (-1, -5):
             with pytest.raises(BadParametersError, match="cap must be >= 0"):
                 run(cap)
         # Zero stays a cap, one that every run exceeds.
-        expected = SizeCapExceededError if name == "tensor_power" else EnumerationCapExceededError
+        expected = SizeCapExceededError if name in sized else EnumerationCapExceededError
         with pytest.raises(expected):
             run(0)
 

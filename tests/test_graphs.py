@@ -127,3 +127,6 @@ def test_enumerate_partitions_lex_and_cap():
     assert len(list(enumerate_partitions(3, 3))) == 27
     with pytest.raises(EnumerationCapExceededError):
         list(enumerate_partitions(10, 10, cap=100))
+    # Refused at the call, before anything is iterated.
+    with pytest.raises(EnumerationCapExceededError):
+        enumerate_partitions(10, 10, cap=100)

@@ -141,6 +141,16 @@ def test_channel_shift_structure():
                            table.probs[(np.arange(nx) + y2) % nx, :, 0])
 
 
+def test_delta_whose_powers_overflow_a_float_is_bad_parameters():
+    # m^(3 delta) overflows at delta = 120 for m = 9, m^(2 delta) at 200.
+    for delta in (120, 200, 1e6):
+        with pytest.raises(BadParametersError, match="overflows a float"):
+            build_instance(3, delta=delta)
+    inst = build_instance(3, delta=100)
+    assert leak_probability(inst) == 0.0
+    assert math.isfinite(value_oracle(inst, "flat", range(inst.m)))
+
+
 def test_materialize_cap():
     inst = build_instance(4)
     with pytest.raises(SizeCapExceededError):

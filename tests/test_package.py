@@ -18,7 +18,8 @@ import pytest
 
 import bcc
 import bcc.cli
-from bcc import random_deterministic_channel, random_dyadic_channel, save_channel
+from bcc import (random_channel, random_deterministic_channel, random_dyadic_channel,
+                 save_channel)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(bcc.__file__).parents[1])   # the package this suite imported
@@ -60,7 +61,7 @@ EXPORTED = [
 def python(*args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
 @pytest.fixture
@@ -157,6 +158,14 @@ def test_a_command_imports_only_the_solvers_it_runs(channel, det_channel, tmp_pa
     assert set(loaded) <= set(modules) and not set(not_loaded) & set(modules), modules
 
 
+def test_importtime_logs_the_modules_a_command_loads(channel):
+    proc = python("-X", "importtime", "-m", "bcc", "solve", str(channel), "--k1", "2",
+                  "--k2", "2", "--which", "ns", "--exact")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert any(line.endswith("bcc.nsprograms") for line in lines)
+
+
 def test_importing_exact_loads_no_linear_program_code():
     code = ("import sys, bcc.exact; "
             "print(sorted(m for m in sys.argv[1:] if m in sys.modules))")
@@ -200,3 +209,26 @@ def test_the_entry_freezes_the_imports_before_main(channel, tmp_path):
     proc = python("-c", code, "solve", str(channel), "--k1", "2", "--k2", "2",
                   "--which", "ns", "--out", str(tmp_path / "report.json"))
     assert (proc.returncode, proc.stderr) == (0, b"0 True 0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--which", "ns-dec", "--k1", "100", "--k2", "100"],
+     "3**10000 candidates exceed enumeration cap 10000000"),
+    (["solve", "--which", "ns-dec", "--k1", "100000", "--k2", "100000"],
+     "3**10000000000 candidates exceed enumeration cap 10000000"),
+    (["tensor", "--n", "5000", "--k1", "2", "--k2", "2"],
+     "required size 12**5000 exceeds cap 100000000"),
+    (["tensor", "--n", "4000000", "--k1", "2", "--k2", "2"],
+     "required size 12**4000000 exceeds cap 100000000"),
+    (["tensor", "--n", "1000000000", "--k1", "2", "--k2", "2"],
+     "required size 12**1000000000 exceeds cap 100000000"),
+], ids=["ns-dec-k100", "ns-dec-k100000", "tensor-n5000", "tensor-n4000000",
+        "tensor-n1000000000"])
+def test_an_over_cap_count_of_any_size_exits_3_at_once(tmp_path, argv, message):
+    """Counts too long to print, or to build, are refused by their bit length
+    and written as their powers."""
+    path = tmp_path / "channel.json"
+    save_channel(random_channel(3, 2, 2, seed=0), path)
+    proc = python("-m", "bcc", argv[0], str(path), *argv[1:])
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode() == f"error: {message}\n"
