@@ -22,6 +22,11 @@ loads the enumeration, approximation or hardness code, and `bcc solve
 programs or the simplex.  The defaults the parser shows for those modules
 live in graphs.  The program entry, bcc.__main__.run, freezes the garbage
 collector and then calls main; main itself does not.
+
+Importing this module loads numpy with one OpenBLAS thread, unless numpy is
+already loaded or the caller set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS, whose count then holds.  os.environ is as it was once the
+import returns.  The library modules leave numpy's default alone.
 """
 
 from __future__ import annotations
@@ -33,6 +38,17 @@ import math
 import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads it.  No command
+# gains from a BLAS worker thread, and starting one costs every process
+# about 70 ms of CPU.
+if "numpy" not in sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import _deferred
 from .channels import (

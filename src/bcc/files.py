@@ -19,6 +19,7 @@ newline), so save -> load -> save reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,19 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        typed = next((x for x, pair in enumerate(raw)   # type() is int rejects bool
-                      if not (isinstance(pair, list) and len(pair) == 2
-                              and type(pair[0]) is int and type(pair[1]) is int)), nx)
-        # Integers beyond int64 make an object or float array; both compare.
-        pairs = np.array(raw[:typed]).reshape(typed, 2)
+        # Check the types at C speed (type() is int rejects bool); scan pair by
+        # pair only to name the first bad one.
+        typed = nx
+        if not (set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
+                and set(map(type, chain.from_iterable(raw))) == {int}):
+            typed = next((x for x, pair in enumerate(raw)
+                          if not (isinstance(pair, list) and len(pair) == 2
+                                  and type(pair[0]) is int and type(pair[1]) is int)), nx)
+        try:
+            pairs = np.fromiter(chain.from_iterable(raw[:typed]), np.intp, 2 * typed)
+        except OverflowError:   # an integer beyond intp, compared as an object
+            pairs = np.array(raw[:typed], dtype=object)
+        pairs = pairs.reshape(typed, 2)
         bad = ((pairs < 0) | (pairs >= (n1, n2))).any(axis=1)
         if bad.any():   # an earlier bad range comes before a bad type
             raise ValidationError(f"pair at x={int(np.argmax(bad))} outside output alphabets")

@@ -192,6 +192,28 @@ def test_deterministic_doc_errors():
         channel_from_dict(doc)
 
 
+@pytest.mark.parametrize("last, error, message", [
+    ([1, 2], None, None),
+    (type("Pair", (list,), {})([1, 2]), None, None),
+    ([1, True], ParseError, "must be two integers"),
+    ([1, 2, 3], ParseError, "must be two integers"),
+    ("12", ParseError, "must be two integers"),
+    (12, ParseError, "must be two integers"),
+    ([3, 0], ValidationError, "outside output alphabets"),
+    ([0, -10**30], ValidationError, "outside output alphabets"),
+])
+def test_a_long_deterministic_doc_names_its_last_pair(last, error, message):
+    nx = 30_000
+    pairs = [[x % 3, x % 5] for x in range(nx - 1)] + [last]
+    doc = {"format_version": 1, "kind": "deterministic", "num_inputs": nx,
+           "num_outputs1": 3, "num_outputs2": 5, "pairs": pairs}
+    if error is None:
+        assert channel_from_dict(doc).pairs.tolist() == pairs
+    else:
+        with pytest.raises(error, match=f"^pair at x={nx - 1} {message}$"):
+            channel_from_dict(doc)
+
+
 def test_alphabet_label_errors():
     doc = dense_doc()
     doc["alphabets"] = {"x": ["a"], "y1": ["u", "v"], "y2": ["w"]}

@@ -2,7 +2,8 @@
 
 `import bcc` loads no submodule, a `bcc` process loads only the solvers its
 command runs, the public names are those of the eager package before it,
-and `python -m bcc` behaves as cli.main, with the collector frozen.
+and `python -m bcc` behaves as cli.main, with the collector frozen and
+numpy loaded with one BLAS thread unless the caller chose a count.
 """
 
 import gc
@@ -58,9 +59,15 @@ EXPORTED = [
 """bcc.__all__ of the package when it imported every submodule up front."""
 
 
-def python(*args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def python(*args, **env):
+    """A fresh interpreter on this suite's bcc, run with the given variables
+    and none of the caller's BLAS thread settings."""
+    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS},
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+           **env}
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
@@ -232,3 +239,50 @@ def test_an_over_cap_count_of_any_size_exits_3_at_once(tmp_path, argv, message):
     proc = python("-m", "bcc", argv[0], str(path), *argv[1:])
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr.decode() == f"error: {message}\n"
+
+
+THREADS = ("import os, sys; before = dict(os.environ); import {modules}; import numpy; "
+           "a = numpy.ones((600, 600)); a @ a; "
+           "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)")
+
+
+def native_threads(modules, **env):
+    """Native threads of a fresh process after `import <modules>` and a 600x600
+    matmul, which must leave os.environ as it found it."""
+    proc = python("-c", THREADS.format(modules=modules), **env)
+    assert proc.returncode == 0, proc.stderr
+    count, unchanged = proc.stdout.split()
+    assert unchanged == b"True"
+    return int(count)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+def test_the_cli_loads_numpy_with_one_blas_thread():
+    default = native_threads("numpy")
+    assert native_threads("bcc.cli") == 1
+    assert native_threads("bcc.channels") == default   # library imports are untouched
+    assert native_threads("numpy, bcc.cli") == default   # numpy was loaded first
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_a_callers_blas_thread_count_is_left_alone(var):
+    assert native_threads("bcc.cli", **{var: "2"}) == native_threads("numpy", **{var: "2"})
+
+
+@pytest.mark.parametrize("make, argv", [
+    (lambda: random_channel(3, 3, 3, seed=0), ["solve", "--which", "all"]),
+    (lambda: random_deterministic_channel(18, 9, 9, seed=0),
+     ["solve", "--which", "joint", "sum"]),
+    (lambda: random_channel(2, 2, 2, seed=0),
+     ["tensor", "--n", "2", "--which", "joint", "sum", "ns"]),
+    (lambda: random_dyadic_channel(2, 2, 2, seed=0),
+     ["solve", "--exact", "--which", "ns", "ns-sum"]),
+], ids=["dense-all", "det-18x9x9", "tensor-n2", "exact-ns"])
+def test_the_blas_thread_count_never_changes_a_result(tmp_path, make, argv):
+    path = tmp_path / "channel.json"
+    save_channel(make(), path)
+    argv = ["-m", "bcc", argv[0], str(path), *argv[1:], "--k1", "2", "--k2", "2", "--verify"]
+    one, two = python(*argv), python(*argv, OPENBLAS_NUM_THREADS="2")
+    assert (one.returncode, one.stderr) == (0, b"")
+    assert (two.returncode, two.stdout) == (0, one.stdout)
