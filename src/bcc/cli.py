@@ -26,7 +26,9 @@ collector and then calls main; main itself does not.
 Importing this module loads numpy with one OpenBLAS thread, unless numpy is
 already loaded or the caller set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS, whose count then holds.  os.environ is as it was once the
-import returns.  The library modules leave numpy's default alone.
+import returns, but the count lasts for the process: a program that imports
+this module before numpy runs all its own numpy work on one BLAS thread.
+The library modules leave numpy's default alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from pathlib import Path
 
 # OpenBLAS reads its thread count once, when numpy loads it.  No command
 # gains from a BLAS worker thread, and starting one costs every process
-# about 70 ms of CPU.
+# about 70 ms of CPU.  This is process policy, like gc.freeze in
+# __main__.run, yet it sits here: perfbench times set-up as a fresh
+# `import bcc.cli` and runs its CLI instances through cli.main in process,
+# so only here does the benchmark see what `bcc` itself runs.
 if "numpy" not in sys.modules and not {
         "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -81,14 +81,9 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        # Check the types at C speed (type() is int rejects bool); scan pair by
-        # pair only to name the first bad one.
-        typed = nx
-        if not (set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
-                and set(map(type, chain.from_iterable(raw))) == {int}):
-            typed = next((x for x, pair in enumerate(raw)
-                          if not (isinstance(pair, list) and len(pair) == 2
-                                  and type(pair[0]) is int and type(pair[1]) is int)), nx)
+        typed = next((x for x, pair in enumerate(raw)   # type() is int rejects bool
+                      if not (isinstance(pair, list) and len(pair) == 2
+                              and type(pair[0]) is int and type(pair[1]) is int)), nx)
         try:
             pairs = np.fromiter(chain.from_iterable(raw[:typed]), np.intp, 2 * typed)
         except OverflowError:   # an integer beyond intp, compared as an object

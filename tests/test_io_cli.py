@@ -194,7 +194,6 @@ def test_deterministic_doc_errors():
 
 @pytest.mark.parametrize("last, error, message", [
     ([1, 2], None, None),
-    (type("Pair", (list,), {})([1, 2]), None, None),
     ([1, True], ParseError, "must be two integers"),
     ([1, 2, 3], ParseError, "must be two integers"),
     ("12", ParseError, "must be two integers"),

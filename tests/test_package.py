@@ -256,7 +256,24 @@ def native_threads(modules, **env):
     return int(count)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+def _openblas():
+    """True when numpy's BLAS is OpenBLAS with its own thread pool, whose size
+    OPENBLAS_NUM_THREADS sets; MKL or an OpenMP build may keep another count."""
+    import numpy
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy before 1.26 reports no build info
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "USE_OPENMP" not in blas.get("openblas configuration", ""))
+
+
+counts_openblas_threads = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/task") and _openblas()),
+    reason="counts OpenBLAS threads in /proc/self/task")
+
+
+@counts_openblas_threads
 def test_the_cli_loads_numpy_with_one_blas_thread():
     default = native_threads("numpy")
     assert native_threads("bcc.cli") == 1
@@ -264,7 +281,7 @@ def test_the_cli_loads_numpy_with_one_blas_thread():
     assert native_threads("numpy, bcc.cli") == default   # numpy was loaded first
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts /proc/self/task")
+@counts_openblas_threads
 @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
 def test_a_callers_blas_thread_count_is_left_alone(var):
     assert native_threads("bcc.cli", **{var: "2"}) == native_threads("numpy", **{var: "2"})
