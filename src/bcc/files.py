@@ -81,9 +81,12 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
         raw = _require(doc, "pairs", list)
         if len(raw) != nx:
             raise ValidationError(f"expected {nx} pairs, found {len(raw)}")
-        typed = next((x for x, pair in enumerate(raw)   # type() is int rejects bool
-                      if not (isinstance(pair, list) and len(pair) == 2
-                              and type(pair[0]) is int and type(pair[1]) is int)), nx)
+        for typed, pair in enumerate(raw):   # type() is int rejects bool
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                break
+        else:
+            typed = nx
         try:
             pairs = np.fromiter(chain.from_iterable(raw[:typed]), np.intp, 2 * typed)
         except OverflowError:   # an integer beyond intp, compared as an object

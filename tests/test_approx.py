@@ -66,6 +66,40 @@ def naive_greedy(g, k1, k2):
     return Partition(g.right_size, k2, tuple(assignment))
 
 
+def naive_derandomize(g, l1, p2):
+    """Reference rounding: score every label of every left vertex in turn."""
+    part_masks = [0] * p2.num_parts  # bitmask of each right part's left neighbours
+    for u, v in g.edges():
+        part_masks[p2.assignment[v]] |= 1 << u
+    hit = [0] * p2.num_parts
+    unassigned = [m.bit_count() for m in part_masks]
+    miss = 1.0 - 1.0 / l1
+    assignment = []
+    for u in range(g.left_size):
+        relevant = [i for i, m in enumerate(part_masks) if m >> u & 1]
+        best_c, best_score = 0, -math.inf
+        for c in range(l1):
+            score = 0.0
+            for i in relevant:
+                hitc = (hit[i] | 1 << c).bit_count()
+                score += hitc + (l1 - hitc) * (1.0 - miss ** (unassigned[i] - 1))
+            if score > best_score:
+                best_c, best_score = c, score
+        assignment.append(best_c)
+        for i in relevant:
+            hit[i] |= 1 << best_c
+            unassigned[i] -= 1
+    return Partition(g.left_size, l1, tuple(assignment))
+
+
+def scored_sizes(g, l1, p2):
+    """len(parts) * l1 of each left vertex with an edge: the size the
+    rounding decides its scoring route by."""
+    left, _ = approx._part_incidences(g, p2)
+    counts = np.bincount(left, minlength=g.left_size)
+    return counts[counts > 0] * l1
+
+
 def bundle_value_fn(g, k1):
     def value(items):
         return min(k1, distinct_left_neighbors(g, items))
@@ -96,6 +130,74 @@ def test_derandomized_beats_expectation():
             make_graph(v2, 1, []), int(rng.integers(1, 4)), rng)
         p1 = derandomize_left(g, l1, p2)
         assert quotient_edge_count(g, p1, p2) >= exact_expected_edges(g, l1, p2) - 1e-9
+
+
+def test_derandomize_matches_naive_on_random_graphs():
+    """Both scoring routes, l1 = 1 and left vertices without edges.  The
+    second regime gives most vertices more than _GROUP_CELLS cells."""
+    rng = np.random.default_rng(83)
+    small = large = 0
+    for labels, right, parts, density in (((1, 2, 3, 7, 40), (1, 60), (1, 40), (0.05, 0.9)),
+                                          ((40, 70), (80, 150), (40, 120), (0.4, 0.9))):
+        for trial in range(20):
+            v1, v2 = int(rng.integers(1, 20)), int(rng.integers(*right))
+            g = random_bipartite_graph(v1, v2, float(rng.uniform(*density)),
+                                       seed=int(rng.integers(10**6)))
+            l1 = int(rng.choice(labels))
+            p2 = random_left_partition(make_graph(v2, 1, []), int(rng.integers(*parts)), rng)
+            sizes = scored_sizes(g, l1, p2)
+            small += int((sizes <= approx._GROUP_CELLS).sum())
+            large += int((sizes > approx._GROUP_CELLS).sum())
+            assert derandomize_left(g, l1, p2) == naive_derandomize(g, l1, p2)
+    assert small > 100 and large > 100
+
+
+def test_derandomize_matches_naive_at_edges():
+    # Many parts on one left vertex with one label, and with two labels: the
+    # vectorised route at its smallest label counts.
+    star = make_graph(3, 1500, [(u, v) for u in range(3) for v in range(1500)
+                                if u == 0 or v % 7 == 0])
+    cases = [
+        (star, 1, singleton_partition(1500, 1500)),
+        (star, 2, singleton_partition(1500, 1500)),
+        (make_graph(5, 4, []), 3, singleton_partition(4, 4)),   # no edges
+        (make_graph(6, 4, [(1, 0), (4, 3)]), 2, Partition(4, 2, (0, 1, 1, 0))),
+    ]
+    assert max(scored_sizes(star, 1, cases[0][2])) > approx._GROUP_CELLS
+    for g, l1, p2 in cases:
+        assert derandomize_left(g, l1, p2) == naive_derandomize(g, l1, p2)
+
+
+def test_derandomize_matches_naive_on_a_blackwell_power():
+    """W^8 of the Blackwell channel, built from its pairs (the dense table
+    has 4 * 10^8 entries).  Its scores come close enough that adding a
+    vertex's parts in another order picks other labels on both routes."""
+    n = 8
+    digits = np.indices((3,) * n).reshape(n, -1)  # x's digits, most significant first
+    weights = 1 << np.arange(n - 1, -1, -1)
+    pairs = np.stack([(digits == 2).T @ weights, (digits >= 1).T @ weights], axis=1)
+    g = channel_graph(DeterministicChannel(3 ** n, 2 ** n, 2 ** n, pairs))
+    for k in (40, 60):
+        p2 = greedy_welfare(g, k, k)
+        assert max(scored_sizes(g, k, p2)) > approx._GROUP_CELLS
+        assert derandomize_left(g, k, p2) == naive_derandomize(g, k, p2)
+
+
+def test_derandomize_breaks_exact_ties_to_the_lowest_label():
+    """At u2, label 0 hits part A and misses B, label 1 the reverse; both are
+    the last unplaced neighbours of A and B, so both labels score 1 + 2
+    exactly, and label 0 wins.  The tie holds on both scoring routes: the
+    wide case adds 1100 parts that u2 alone meets, which score every label
+    alike."""
+    edges = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
+    narrow = make_graph(3, 3, edges)
+    wide = make_graph(3, 1103, edges + [(2, v) for v in range(3, 1103)])
+    for g in (narrow, wide):
+        p2 = singleton_partition(g.right_size, g.right_size)
+        p1 = derandomize_left(g, 2, p2)
+        assert p1.assignment == (0, 1, 0) == naive_derandomize(g, 2, p2).assignment
+    assert max(scored_sizes(wide, 2, p2)) > approx._GROUP_CELLS
+    assert max(scored_sizes(narrow, 2, singleton_partition(3, 3))) <= approx._GROUP_CELLS
 
 
 def test_lazy_greedy_matches_naive():

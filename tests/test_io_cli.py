@@ -200,16 +200,36 @@ def test_deterministic_doc_errors():
     (12, ParseError, "must be two integers"),
     ([3, 0], ValidationError, "outside output alphabets"),
     ([0, -10**30], ValidationError, "outside output alphabets"),
+    ([1, 2.0], ParseError, "must be two integers"),
 ])
 def test_a_long_deterministic_doc_names_its_last_pair(last, error, message):
+    """One pair of a 30 000-pair document is replaced first, in the middle
+    and last; a bad one is named with its x."""
     nx = 30_000
-    pairs = [[x % 3, x % 5] for x in range(nx - 1)] + [last]
-    doc = {"format_version": 1, "kind": "deterministic", "num_inputs": nx,
-           "num_outputs1": 3, "num_outputs2": 5, "pairs": pairs}
-    if error is None:
-        assert channel_from_dict(doc).pairs.tolist() == pairs
-    else:
-        with pytest.raises(error, match=f"^pair at x={nx - 1} {message}$"):
+    good = [[x % 3, x % 5] for x in range(nx)]
+    for at in (0, nx // 2, nx - 1):
+        pairs = good[:at] + [last] + good[at + 1:]
+        doc = {"format_version": 1, "kind": "deterministic", "num_inputs": nx,
+               "num_outputs1": 3, "num_outputs2": 5, "pairs": pairs}
+        if error is None:
+            assert channel_from_dict(doc).pairs.tolist() == pairs
+        else:
+            with pytest.raises(error, match=f"^pair at x={at} {message}$"):
+                channel_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad_type", [[1, True], [1, 2.0], [1, 2, 3], "12"])
+def test_a_long_deterministic_doc_names_a_bad_range_before_a_later_bad_type(bad_type):
+    nx = 30_000
+    for at, later in ((0, 1), (0, nx - 1), (nx // 2, nx // 2 + 1), (nx - 2, nx - 1)):
+        pairs = [[x % 3, x % 5] for x in range(nx)]
+        pairs[at], pairs[later] = [3, 0], bad_type
+        doc = {"format_version": 1, "kind": "deterministic", "num_inputs": nx,
+               "num_outputs1": 3, "num_outputs2": 5, "pairs": pairs}
+        with pytest.raises(ValidationError, match=f"^pair at x={at} outside output alphabets$"):
+            channel_from_dict(doc)
+        pairs[at], pairs[later] = bad_type, [3, 0]
+        with pytest.raises(ParseError, match=f"^pair at x={at} must be two integers$"):
             channel_from_dict(doc)
 
 
