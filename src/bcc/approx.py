@@ -153,7 +153,7 @@ def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
             h = np.array([m.bit_count() for m in masks])
             r = np.array([rest[others[i]] for i in relevant])
             on, off = h + (l1 - h) * r, (h + 1) + (l1 - h - 1) * r
-            # Each cell takes on's or off's bit pattern: off ^ (on ^ off) where hit.
+            # Each cell takes on's or off's exact bit pattern: off ^ (on ^ off) where hit.
             cells = rows * (on.view(np.int64) ^ off.view(np.int64))[:, None]
             cells ^= off.view(np.int64)[:, None]
             best = int(cells.view(np.float64).sum(axis=0).argmax())

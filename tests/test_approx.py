@@ -153,8 +153,8 @@ def test_derandomize_matches_naive_on_random_graphs():
 
 
 def test_derandomize_matches_naive_at_edges():
-    # Many parts on one left vertex with one label, and with two labels: the
-    # vectorised route at its smallest label counts.
+    # Left vertex 0 meets 1500 parts, so it takes the matrix route even at
+    # one and two labels; the other two take the group route.
     star = make_graph(3, 1500, [(u, v) for u in range(3) for v in range(1500)
                                 if u == 0 or v % 7 == 0])
     cases = [
@@ -192,12 +192,11 @@ def test_derandomize_breaks_exact_ties_to_the_lowest_label():
     edges = [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
     narrow = make_graph(3, 3, edges)
     wide = make_graph(3, 1103, edges + [(2, v) for v in range(3, 1103)])
-    for g in (narrow, wide):
+    for g, matrix_route in ((narrow, False), (wide, True)):
         p2 = singleton_partition(g.right_size, g.right_size)
+        assert (max(scored_sizes(g, 2, p2)) > approx._GROUP_CELLS) == matrix_route
         p1 = derandomize_left(g, 2, p2)
         assert p1.assignment == (0, 1, 0) == naive_derandomize(g, 2, p2).assignment
-    assert max(scored_sizes(wide, 2, p2)) > approx._GROUP_CELLS
-    assert max(scored_sizes(narrow, 2, singleton_partition(3, 3))) <= approx._GROUP_CELLS
 
 
 def test_lazy_greedy_matches_naive():
