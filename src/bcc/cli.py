@@ -163,13 +163,16 @@ def _code_witness(code) -> dict:
 
 def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
                      exact: bool = False, cap: int = DEFAULT_ENUM_CAP,
-                     tol: float = DEFAULT_CHECK_TOL) -> None:
+                     tol: float = DEFAULT_CHECK_TOL, compact=None) -> None:
     """Compute the requested optima into report and add every check the run admits.
 
     wanted names quantities as in ALL_QUANTITIES; det is the deterministic view
-    of table, or None.  The solvers run in a fixed order (joint, sum, ns,
-    ns-sum, ns-dec), which decides what the simplex's phase-1 reuse can share.
+    of table, or None.  compact maps an objective ("joint" or "sum") to its
+    compact program, already built, for solve_ns to solve instead of a new
+    build.  The solvers run in a fixed order (joint, sum, ns, ns-sum, ns-dec),
+    which decides what the simplex's phase-1 reuse can share.
     """
+    compact = compact or {}
     q = report.quantities
 
     def store(name, value):
@@ -186,9 +189,11 @@ def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
         q["S_sum"] = rep.value
         report.witnesses["sum_code"] = _code_witness(rep.witness)
     if "ns" in wanted:
-        store("S_ns", solve_ns(table, k1, k2, "joint", exact=exact).value)
+        store("S_ns", solve_ns(table, k1, k2, "joint", exact=exact,
+                               model=compact.get("joint")).value)
     if "ns-sum" in wanted:
-        store("S_ns_sum", solve_ns(table, k1, k2, "sum", exact=exact).value)
+        store("S_ns_sum", solve_ns(table, k1, k2, "sum", exact=exact,
+                                   model=compact.get("sum")).value)
     if "ns-dec" in wanted:
         rep = solve_ns_dec(table, k1, k2, "joint", cap=cap, exact=exact)
         store("S_ns_dec", rep.value)
@@ -265,12 +270,17 @@ def cmd_solve(args) -> Report:
         inputs["n"] = args.n
         provenance["entry_cap"] = args.entry_cap
     report = Report(args.command, inputs=inputs, provenance=provenance)
-    solve_quantities(report, table, det, args.k1, args.k2, wanted,
-                     exact=args.exact, cap=args.enum_cap, tol=args.check_tol)
+    # The exported program is the one solve_ns solves, built once for both.
+    compact = {}
     if args.lp_export:
-        build = build_ns_sum if wanted == ("ns-sum",) else build_ns_joint
+        export = "sum" if wanted == ("ns-sum",) else "joint"
+        build = build_ns_sum if export == "sum" else build_ns_joint
+        compact[export] = build(table, args.k1, args.k2)
+    solve_quantities(report, table, det, args.k1, args.k2, wanted, exact=args.exact,
+                     cap=args.enum_cap, tol=args.check_tol, compact=compact)
+    if args.lp_export:
         with open(_resolve(args.lp_export), "w") as fp:
-            lp_write_text(build(table, args.k1, args.k2), fp)
+            lp_write_text(compact[export], fp)
     return report
 
 

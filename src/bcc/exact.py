@@ -15,16 +15,18 @@ pair: sum_{j<=k} S(|Y|, j) decoders per side, S the Stirling numbers of the
 second kind (365 * 122 pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
 The reported candidate count and the enumeration cap stay the number of
 labelled decoder pairs, k1^|Y1| * k2^|Y2|.  The decoder-box solver
-enumerates deterministic encoders instead and solves one linear program per
-encoder orbit: permuting the rows and columns of the k1 x k2 message grid,
-and the box's two outputs with them, maps feasible boxes to feasible boxes
-of the same value, so only the lexicographically smallest encoder of each
-orbit of S_k1 x S_k2 is solved.  Its count and cap stay the number of
-labelled encoders, |X|^(k1 k2).  The programs share their constraints, so
-only the first pays for the simplex's phase 1.  It is the one solver here
-that needs a linear program: build_decoder_box_lp, lp_solve and solve_exact
-are stand-ins that import nsprograms and simplex on its first call, so
-importing this module loads neither.
+enumerates deterministic encoders instead and solves at most one linear
+program per encoder orbit: permuting the rows and columns of the k1 x k2
+message grid, and the box's two outputs with them, maps feasible boxes to
+feasible boxes of the same value, so only the lexicographically smallest
+encoder of each orbit of S_k1 x S_k2 is a candidate.  Each candidate gets
+an upper bound with no LP, and only those whose bound can still reach the
+best value found are solved, in order of decreasing bound.  Its count and
+cap stay the number of labelled encoders, |X|^(k1 k2).  The programs share
+their constraints, so only the first pays for the simplex's phase 1.  It is
+the one solver here that needs a linear program: build_decoder_box_lp,
+lp_solve and solve_exact are stand-ins that import nsprograms and simplex on
+its first call, so importing this module loads neither.
 
 Ties between optimal candidates resolve to the lexicographically smallest
 assignment tuple, scanning first-decoder (or left-partition) assignments in
@@ -35,9 +37,10 @@ quotients) this is the smallest optimum over all labelled pairs.  On float
 tables a renamed twin can total one ulp more, because its lookups add in
 another order; the value can then differ from the labelled maximum by that
 rounding and the witness can be another code within it.  The decoder-box
-solver keeps the first strict maximum over orbit representatives in
-lexicographic order.  The smallest maximizing encoder is the smallest of its
-orbit, so in exact mode this is the smallest optimal encoder overall; in
+solver keeps the smallest orbit representative of maximum value, the first
+strict maximum over them in lexicographic order, whatever order it solves
+them in.  The smallest maximizing encoder is the smallest of its orbit, so
+in exact mode this is the smallest optimal encoder overall; in
 float mode the witness is the smallest of its orbit and the value can differ
 by rounding from a solve of another member.
 """
@@ -288,6 +291,50 @@ def _is_orbit_min(flat: tuple[int, ...], k1: int, k2: int) -> bool:
     return not any(tuple(chain.from_iterable(g)) < flat for g in grids)
 
 
+def _orbit_representatives(nx: int, k1: int, k2: int) -> np.ndarray:
+    """The smallest encoder of each orbit, in lexicographic order.
+
+    One row-major row of k1 k2 inputs per orbit, in the smallest unsigned
+    integer type that holds nx - 1, so the array stays small near the
+    enumeration cap.
+    """
+    reps = (flat for flat in product(range(nx), repeat=k1 * k2) if _is_orbit_min(flat, k1, k2))
+    return np.fromiter(chain.from_iterable(reps),
+                       dtype=np.min_scalar_type(nx - 1)).reshape(-1, k1 * k2)
+
+
+_BOUND_CHUNK_CELLS = 1 << 20   # channel entries gathered at once by _decoder_box_bounds
+
+
+def _decoder_box_bounds(probs: np.ndarray, reps: np.ndarray, k1: int, k2: int,
+                        objective: str) -> np.ndarray:
+    """Upper bound on the decoder-box optimum of each encoder row, with no LP.
+
+    With P = probs[enc], axes (i1, i2, y1, y2): a non-signaling box's j1
+    marginal depends on y1 alone, so receiver 1 gains at most
+    r1 = sum_y1 max_i1 sum_i2 sum_y2 P, and receiver 2 likewise at most r2;
+    a box sums to one over (j1, j2), so the joint gain is also at most the
+    signaling sum_{y1, y2} max_{i1, i2} P.  The joint bound is the least of
+    the three over k1 k2.  The sum bound (r1 + r2) / (2 k1 k2) is the optimum
+    itself, since a product of deterministic marginals attains it.  The
+    bounds take probs's type: floats, or Fractions that make them exact.
+    """
+    kk = k1 * k2
+    _, n1, n2 = probs.shape
+    out = np.empty(len(reps), dtype=probs.dtype)
+    chunk = max(1, _BOUND_CHUNK_CELLS // (kk * n1 * n2))
+    for start in range(0, len(reps), chunk):
+        sent = probs[reps[start:start + chunk].reshape(-1, k1, k2)]  # (c, i1, i2, y1, y2)
+        r1 = sent.sum(axis=(2, 4)).max(axis=1).sum(axis=1)
+        r2 = sent.sum(axis=(1, 3)).max(axis=1).sum(axis=1)
+        if objective == "sum":
+            out[start:start + chunk] = (r1 + r2) / (2 * kk)
+        else:
+            signaling = sent.max(axis=(1, 2)).sum(axis=(1, 2))
+            out[start:start + chunk] = np.minimum(np.minimum(signaling, r1), r2) / kk
+    return out
+
+
 def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
                  cap: int = DEFAULT_ENUM_CAP, exact: bool = False) -> SolveReport:
     """Best deterministic encoder with an optimal shared decoder box.
@@ -298,10 +345,22 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     Renaming the messages (permuting the grid's rows and columns, and the
     box's outputs j1 and j2 with them) keeps every box feasible and its value
     unchanged, so encoders in one orbit share their optimum and only the
-    lexicographically smallest member of each orbit is solved.  The reported
-    count and the cap stay |X|^(k1 k2).
+    lexicographically smallest member of each orbit is a candidate.  The
+    reported count and the cap stay |X|^(k1 k2).
 
-    Ties keep the first strict maximum over those representatives in
+    Each candidate first gets an upper bound on its optimum with no LP
+    (_decoder_box_bounds).  The programs are solved in order of decreasing
+    bound, ties in lexicographic order, and the loop stops at the first
+    bound below the best value found less a margin: simplex.CHECK_TOL in
+    float mode, 0 in exact mode, where the bounds are exact Fractions.  No
+    encoder left unsolved can then reach the best value.  For the sum
+    objective the bound is the optimum, so one program is solved unless
+    encoders tie.  For joint, on 60 random channels at k=(2, 2) with 3 or 4
+    outputs per receiver, 9 to 14 of the 27 candidates of a 3-input channel
+    were solved, and 6 to 47 of the 76 of a 4-input one.
+
+    Ties keep the lexicographically smallest solved candidate of maximum
+    value, which is the first strict maximum over all candidates in
     lexicographic order.  In exact mode, where the objective is the exact
     rational one of the channel, that is the smallest optimal encoder
     overall, since the smallest maximizer is the smallest of its orbit.  In
@@ -310,28 +369,36 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
 
     The programs differ only in their objective: the box program is built
     once and each encoder swaps in its objective, and lp_solve runs phase 1
-    once for all of them (and for a following call with the other objective).
+    once for all of them (and for a following call with the other objective),
+    so a program's value, vertex and pivots do not depend on the order.
     Exact mode solves each through solve_exact, a float solve with a rational
     certificate, or the Fraction simplex when the certificate fails.
     """
     from .nsprograms import _decoder_box_objective
+    from .simplex import CHECK_TOL, _to_fraction
 
     _check_k(k1, k2)
     nx = w.input_size
     candidates = _check_cap(EnumerationCapExceededError, cap, (nx, k1 * k2))
 
     box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
-    best_val, best_enc = None, None
-    for flat in product(range(nx), repeat=k1 * k2):
-        if not _is_orbit_min(flat, k1, k2):
-            continue
-        enc = np.asarray(flat, dtype=int).reshape(k1, k2)
-        model = replace(box, objective=_decoder_box_objective(w, enc, objective, exact))
+    reps = _orbit_representatives(nx, k1, k2)
+    bounds = _decoder_box_bounds(_to_fraction(w.probs) if exact else w.probs,
+                                 reps, k1, k2, objective)
+    margin = 0 if exact else CHECK_TOL
+    best_val, best_flat = None, None
+    for i in np.argsort(-bounds, kind="stable"):
+        if best_val is not None and bounds[i] < best_val - margin:
+            break
+        flat = tuple(reps[i].tolist())
+        model = replace(box, objective=_decoder_box_objective(
+            w, reps[i].reshape(k1, k2), objective, exact))
         sol = solve_exact(model, lp_solve) if exact else lp_solve(model)
-        if best_val is None or sol.value > best_val:
-            best_val = sol.value
-            best_enc = tuple(tuple(int(v) for v in row) for row in enc)
-    return SolveReport(best_val, best_enc, candidates)
+        if (best_val is None or sol.value > best_val
+                or (sol.value == best_val and flat < best_flat)):
+            best_val, best_flat = sol.value, flat
+    return SolveReport(best_val, tuple(best_flat[i:i + k2] for i in range(0, k1 * k2, k2)),
+                       candidates)
 
 
 def code_from_partitions(dc: DeterministicChannel, p1: Partition, p2: Partition) -> Code:

@@ -336,9 +336,11 @@ def reconstruct_full_box(ns: NsSolution, k1: int, k2: int) -> np.ndarray:
 
 
 def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
-             exact: bool = False) -> NsSolution:
+             exact: bool = False, model: LpModel | None = None) -> NsSolution:
     """Build the compact program, solve it, and return the checked solution.
 
+    model, when given, is that program as build_ns_joint or build_ns_sum
+    returned it for these arguments, and is solved instead of a new build.
     Exact mode solves the program with the channel's exact rational
     objective, not the float-rounded one the built model carries, through
     solve_exact: a float solve with a rational certificate, or the Fraction
@@ -347,7 +349,8 @@ def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     build = build_ns_joint if objective == "joint" else build_ns_sum
     if objective not in ("joint", "sum"):
         raise ValidationError(f"unknown objective {objective!r}")
-    model = build(w, k1, k2)
+    if model is None:
+        model = build(w, k1, k2)
     if not exact:
         return extract_ns_solution(w, k1, k2, lp_solve(model))
     model = replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))

@@ -66,40 +66,128 @@ def best_code_bruteforce(w, k1: int, k2: int, mode: str = "joint",
     return best / (k1 * k2)
 
 
-def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
-                           exact: bool = False):
-    """Decoder-box optimum with one LP per labelled encoder, no symmetry used.
+def orbit_minima(nx: int, k1: int, k2: int) -> list:
+    """Encoders that are the smallest of their orbit, in lexicographic order.
 
-    Returns the value and the first encoder, in lexicographic order, that
-    strictly beats every earlier one.  Exact mode builds each objective by
-    loops from the exact terms Fraction(w[x]) / (k1 k2), or / (2 k1 k2) for
-    sum.
+    Each k1 x k2 grid of inputs (a tuple of rows) is compared with every grid
+    its row and column permutations reach; none of the package's sorting
+    shortcuts is used.
+    """
+    out = []
+    for flat in itertools.product(range(nx), repeat=k1 * k2):
+        enc = np.asarray(flat).reshape(k1, k2)
+        grid = tuple(map(tuple, enc.tolist()))
+        if all(grid <= tuple(map(tuple, enc[list(s)][:, list(t)].tolist()))
+               for s in itertools.permutations(range(k1))
+               for t in itertools.permutations(range(k2))):
+            out.append(grid)
+    return out
+
+
+def decoder_box_value(w, encoder, objective: str = "joint", exact: bool = False):
+    """Decoder-box optimum of one encoder, its program built and solved on its own.
+
+    Float mode solves the built program as it is.  Exact mode builds the
+    objective by loops from the exact terms Fraction(w[x]) / (k1 k2), or
+    / (2 k1 k2) for sum, and runs the Fraction simplex.
     """
     from dataclasses import replace
     from fractions import Fraction
 
     from bcc.nsprograms import build_decoder_box_lp
     from bcc.simplex import lp_solve
+    enc = np.asarray(encoder, dtype=int)
+    k1, k2 = enc.shape
     n1, n2 = w.out1_size, w.out2_size
+    model = build_decoder_box_lp(w, enc, k1, k2, objective)
+    if exact:
+        c = np.full((k1, k2, n1, n2), Fraction(0), dtype=object)
+        for i1, i2, y1, y2 in itertools.product(range(k1), range(k2), range(n1), range(n2)):
+            p = Fraction(float(w.probs[enc[i1, i2], y1, y2]))
+            if objective == "joint":
+                c[i1, i2, y1, y2] += p / (k1 * k2)
+            else:
+                term = p / (2 * k1 * k2)
+                c[i1, :, y1, y2] += term   # receiver 1 decodes i1
+                c[:, i2, y1, y2] += term   # receiver 2 decodes i2
+        model = replace(model, objective=c.ravel())
+    return lp_solve(model, exact=exact).value
+
+
+def first_strict_maximum(encoders, values):
+    """The value and the first encoder, in the given order, that strictly
+    beats every earlier one."""
     best_val, best_enc = None, None
-    for flat in itertools.product(range(w.input_size), repeat=k1 * k2):
-        enc = np.asarray(flat, dtype=int).reshape(k1, k2)
-        model = build_decoder_box_lp(w, enc, k1, k2, objective)
-        if exact:
-            c = np.full((k1, k2, n1, n2), Fraction(0), dtype=object)
-            for i1, i2, y1, y2 in itertools.product(range(k1), range(k2), range(n1), range(n2)):
-                p = Fraction(float(w.probs[enc[i1, i2], y1, y2]))
-                if objective == "joint":
-                    c[i1, i2, y1, y2] += p / (k1 * k2)
-                else:
-                    term = p / (2 * k1 * k2)
-                    c[i1, :, y1, y2] += term   # receiver 1 decodes i1
-                    c[:, i2, y1, y2] += term   # receiver 2 decodes i2
-            model = replace(model, objective=c.ravel())
-        value = lp_solve(model, exact=exact).value
+    for enc, value in zip(encoders, values):
         if best_val is None or value > best_val:
-            best_val, best_enc = value, tuple(map(tuple, enc.tolist()))
+            best_val, best_enc = value, tuple(map(tuple, np.asarray(enc).tolist()))
     return best_val, best_enc
+
+
+def ns_dec_by_all_encoders(w, k1: int, k2: int, objective: str = "joint",
+                           exact: bool = False):
+    """Decoder-box optimum with one LP per labelled encoder, no symmetry used.
+
+    Returns the value and the first encoder, in lexicographic order, that
+    strictly beats every earlier one.
+    """
+    encoders = [np.asarray(flat).reshape(k1, k2)
+                for flat in itertools.product(range(w.input_size), repeat=k1 * k2)]
+    return first_strict_maximum(
+        encoders, [decoder_box_value(w, enc, objective, exact) for enc in encoders])
+
+
+def ns_dec_by_orbit_loop(w, k1: int, k2: int, objective: str = "joint",
+                         exact: bool = False):
+    """Decoder-box optimum with one LP per orbit, every orbit solved.
+
+    The exhaustive loop over the smallest encoder of each orbit, in
+    lexicographic order, keeping the first strict maximum.
+    """
+    reps = orbit_minima(w.input_size, k1, k2)
+    return first_strict_maximum(
+        reps, [decoder_box_value(w, enc, objective, exact) for enc in reps])
+
+
+def decoder_box_bound(w, encoder, objective: str = "joint", exact: bool = False):
+    """Upper bound on one encoder's decoder-box optimum, by loops.
+
+    r1 sums over y1 the best i1 of the mass sent in row i1 that lands on y1;
+    r2 likewise over y2 and columns; the signaling bound sums over (y1, y2)
+    the best single cell.  Joint: min(signaling, r1, r2) / (k1 k2); sum:
+    (r1 + r2) / (2 k1 k2).  Exact mode adds Fractions.
+    """
+    from fractions import Fraction
+    enc = np.asarray(encoder, dtype=int)
+    k1, k2 = enc.shape
+    n1, n2 = w.out1_size, w.out2_size
+    conv = Fraction if exact else float
+
+    def p(i1, i2, y1, y2):
+        return conv(float(w.probs[enc[i1, i2], y1, y2]))
+
+    r1 = sum(max(sum(p(i1, i2, y1, y2) for i2 in range(k2) for y2 in range(n2))
+                 for i1 in range(k1)) for y1 in range(n1))
+    r2 = sum(max(sum(p(i1, i2, y1, y2) for i1 in range(k1) for y1 in range(n1))
+                 for i2 in range(k2)) for y2 in range(n2))
+    if objective == "sum":
+        return (r1 + r2) / (2 * k1 * k2)
+    signaling = sum(max(p(i1, i2, y1, y2) for i1 in range(k1) for i2 in range(k2))
+                    for y1 in range(n1) for y2 in range(n2))
+    return min(signaling, r1, r2) / (k1 * k2)
+
+
+def pruned_lp_count(bounds, values, margin) -> int:
+    """LPs that solving in order of decreasing bound (ties in the given
+    order) and stopping at the first bound below the best value less margin
+    solves."""
+    best, count = None, 0
+    for i in sorted(range(len(bounds)), key=lambda j: bounds[j], reverse=True):
+        if best is not None and bounds[i] < best - margin:
+            break
+        count += 1
+        best = values[i] if best is None else max(best, values[i])
+    return count
 
 
 def dense_pivot(T: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:

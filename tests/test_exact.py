@@ -5,7 +5,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,21 @@ from bcc import (
     tensor_power,
     validate_channel,
 )
-from bcc.channels import DEFAULT_ENTRY_CAP
-from bcc.exact import _assignment_rows, _is_orbit_min
+from bcc.channels import DEFAULT_ENTRY_CAP, ChannelTable
+from bcc.exact import _assignment_rows, _decoder_box_bounds, _is_orbit_min
 from bcc.nsprograms import build_decoder_box_lp
-from bcc.simplex import lp_solve
-from oracles import best_code_bruteforce, dqg_bruteforce, ns_dec_by_all_encoders, success_by_loops
+from bcc.simplex import CHECK_TOL, _to_fraction, lp_solve
+from oracles import (
+    best_code_bruteforce,
+    decoder_box_bound,
+    decoder_box_value,
+    dqg_bruteforce,
+    ns_dec_by_all_encoders,
+    ns_dec_by_orbit_loop,
+    orbit_minima,
+    pruned_lp_count,
+    success_by_loops,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -391,11 +401,73 @@ def test_ns_dec_float_orbit_representative(objective):
             assert own.value == report.value
 
 
-def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
-    # encoder_orbits counts the orbits by Burnside's lemma, independently
-    # of the solver's smallest-member filter.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    spans = importlib.import_module("spans")
+def ns_dec_channels(nx):
+    """Random, dyadic, deterministic and duplicated-row channels with nx inputs,
+    2 and 3 outputs; the duplicated input row makes encoders tie."""
+    dyadic = random_dyadic_channel(nx - 1, 2, 3, seed=nx, denominator=8)
+    return {
+        "random": random_channel(nx, 2, 3, seed=nx),
+        "dyadic": random_dyadic_channel(nx, 2, 3, seed=nx + 1, denominator=8),
+        "deterministic": random_deterministic_channel(nx, 2, 3, seed=nx).to_table(),
+        "duplicated": ChannelTable(nx, 2, 3, np.concatenate([dyadic.probs, dyadic.probs[:1]])),
+    }
+
+
+def orbit_count_cases():
+    # Every grid shape, with few enough encoders for the orbit oracle.
+    for k1, k2 in NS_DEC_KS:
+        for name, w in ns_dec_channels(3 if k1 * k2 <= 4 else 2).items():
+            yield name, w, k1, k2
+    # Optimal encoders with different joint bounds: the solver meets a
+    # larger one first, and in exact mode an optimal encoder's bound equals
+    # the best value found.
+    yield "halves", random_dyadic_channel(3, 3, 3, seed=1, denominator=2), 2, 2
+
+
+@pytest.mark.parametrize("objective", ["joint", "sum"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_ns_dec_pruned_matches_orbit_loop(objective, exact):
+    # Skipping the encoders whose bound cannot reach the best value keeps
+    # the value (bit for bit, and its type) and the witness of solving
+    # every orbit representative in lexicographic order.
+    for name, w, k1, k2 in orbit_count_cases():
+        if exact and name == "random":
+            continue   # the Fraction simplex on arbitrary doubles is slow
+        report = solve_ns_dec(w, k1, k2, objective, exact=exact)
+        value, witness = ns_dec_by_orbit_loop(w, k1, k2, objective, exact)
+        assert type(report.value) is type(value), (name, k1, k2)
+        assert report.value == value, (name, k1, k2)
+        assert report.witness == witness, (name, k1, k2)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_ns_dec_bounds_hold_for_every_orbit(exact):
+    # A bound never falls below its LP optimum and, for the sum objective,
+    # is that optimum.  The package's bounds are those of the loop oracle.
+    for name, w, k1, k2 in orbit_count_cases():
+        if exact and name == "random":
+            continue
+        reps = orbit_minima(w.input_size, k1, k2)
+        flat = np.array([sum(enc, ()) for enc in reps])
+        probs = _to_fraction(w.probs) if exact else w.probs
+        for objective in ("joint", "sum"):
+            bounds = _decoder_box_bounds(probs, flat, k1, k2, objective)
+            for enc, bound in zip(reps, bounds):
+                value = decoder_box_value(w, enc, objective, exact)
+                looped = decoder_box_bound(w, enc, objective, exact)
+                if exact:
+                    assert isinstance(bound, Fraction) and bound == looped
+                    assert value <= bound
+                    if objective == "sum":
+                        assert value == bound
+                else:
+                    assert abs(bound - looped) <= 1e-12
+                    assert value <= bound + 1e-12
+                    if objective == "sum":
+                        assert abs(value - bound) <= 1e-12
+
+
+def counted_lp_solve(monkeypatch) -> list:
     calls = []
 
     def counting_lp_solve(model, exact=False):
@@ -403,13 +475,33 @@ def test_ns_dec_solves_one_lp_per_encoder_orbit(monkeypatch):
         return lp_solve(model, exact=exact)
 
     monkeypatch.setattr("bcc.exact.lp_solve", counting_lp_solve)
+    return calls
+
+
+def test_ns_dec_solves_at_most_one_lp_per_encoder_orbit(monkeypatch):
+    # encoder_orbits counts the orbits by Burnside's lemma, independently
+    # of the solver's smallest-member filter.  The solver solves exactly the
+    # LPs that the bound rule leaves, replayed here on the oracle's bounds.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    calls = counted_lp_solve(monkeypatch)
     for nx, k1, k2 in ((3, 2, 2), (2, 2, 3), (3, 1, 3), (2, 3, 2)):
         w = random_channel(nx, 2, 2, seed=nx * 10 + k1 * 3 + k2)
-        calls.clear()
-        report = solve_ns_dec(w, k1, k2, "joint")
-        assert len(calls) == spans.encoder_orbits(nx, k1, k2)
-        assert report.enumerated == nx ** (k1 * k2)
+        reps = orbit_minima(nx, k1, k2)
+        for objective in ("joint", "sum"):
+            calls.clear()
+            report = solve_ns_dec(w, k1, k2, objective)
+            implied = pruned_lp_count([decoder_box_bound(w, e, objective) for e in reps],
+                                      [decoder_box_value(w, e, objective) for e in reps],
+                                      CHECK_TOL)
+            assert len(calls) == implied
+            assert len(calls) <= spans.encoder_orbits(nx, k1, k2) == len(reps)
+            assert report.enumerated == nx ** (k1 * k2)
     assert spans.encoder_orbits(3, 2, 2) == 27
+    for objective in ("joint", "sum"):
+        calls.clear()
+        solve_ns_dec(random_channel(3, 3, 3, seed=0), 2, 2, objective)
+        assert 0 < len(calls) < 27
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(random_channel(3, 2, 2, seed=0), 2, 2, cap=80)
 
@@ -451,17 +543,17 @@ def test_orbit_filter_keeps_the_smallest_of_each_orbit():
 def test_ns_dec_lopsided_grid(monkeypatch, nx, k1, k2):
     # With one side of the grid a single message, an orbit is a multiset of
     # k1 k2 inputs; the filter must not walk the 12! permutations of the
-    # other side.
-    calls = []
-
-    def counting_lp_solve(model, exact=False):
-        calls.append(exact)
-        return lp_solve(model, exact=exact)
-
-    monkeypatch.setattr("bcc.exact.lp_solve", counting_lp_solve)
+    # other side.  The representatives are the sorted input tuples, and the
+    # solver solves the LPs the bound rule leaves of them.
+    calls = counted_lp_solve(monkeypatch)
     w = random_channel(nx, 2, 2, seed=k1)
     report = solve_ns_dec(w, k1, k2, "joint")
-    assert len(calls) == math.comb(nx + k1 * k2 - 1, k1 * k2)
+    reps = [np.reshape(flat, (k1, k2))
+            for flat in combinations_with_replacement(range(nx), k1 * k2)]
+    implied = pruned_lp_count([decoder_box_bound(w, e) for e in reps],
+                              [decoder_box_value(w, e) for e in reps], CHECK_TOL)
+    assert len(calls) == implied
+    assert len(calls) <= math.comb(nx + k1 * k2 - 1, k1 * k2)
     assert report.enumerated == nx ** (k1 * k2)
     flat = sum(report.witness, ())
     assert flat == tuple(sorted(flat))

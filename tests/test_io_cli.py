@@ -1,5 +1,6 @@
 """Channel file format and command-line interface tests."""
 
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import bcc.cli
 import bcc.exact
 import bcc.nsprograms
+import bcc.simplex
 from bcc import (
     GE,
     LE,
@@ -616,6 +618,39 @@ def test_cli_lp_export(tmp_path, capsys):
     assert text.startswith("Maximize")
     assert "r_x0_a0_b0" in text
     assert text.rstrip().endswith("End")
+
+
+@pytest.mark.parametrize("which, exact, builds, exported", [
+    (["ns"], False, 1, "joint"),
+    (["ns"], True, 1, "joint"),
+    (["ns", "ns-sum"], False, 2, "joint"),
+    (["ns-sum"], False, 1, "sum"),
+    (["joint"], False, 1, "joint"),
+])
+def test_cli_lp_export_builds_the_compact_program_once(
+        tmp_path, capsys, monkeypatch, which, exact, builds, exported):
+    # The exported program is the one the solve used: no compact program is
+    # built twice, and the file is that program's text.
+    w = random_channel(2, 2, 2, seed=0)
+    path = write_channel(tmp_path, w)
+    lp_path = tmp_path / "program.lp"
+    real_build = bcc.nsprograms._build_compact
+    built = []
+
+    def counting_build(*args):
+        built.append(args[-1])
+        return real_build(*args)
+
+    monkeypatch.setattr(bcc.nsprograms, "_build_compact", counting_build)
+    code, _, err = run_cli(capsys, "solve", str(path), "--k1", "2", "--k2", "2",
+                           "--which", *which, *(["--exact"] if exact else []),
+                           "--lp-export", str(lp_path), "--verify")
+    assert (code, err) == (0, "")
+    assert len(built) == builds
+    assert sorted(set(built)) == sorted(built)
+    expected = io.StringIO()
+    bcc.simplex.lp_write_text(real_build(w, 2, 2, exported), expected)
+    assert lp_path.read_text() == expected.getvalue()
 
 
 def test_cli_approx_requires_deterministic(tmp_path, capsys):
