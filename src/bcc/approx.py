@@ -234,12 +234,12 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     of the capped coverage welfare; the left partition is its
     conditional-expectation rounding, which never falls below the expected
     count of a uniform left partition.  The approximation guarantee rests on
-    these two steps alone.  The proven guarantee is (1/2)(1 - 1/e)^2 of the
-    optimum, as the README states and acceptance test 07 checks: a plain
-    greedy is guaranteed only 1/2 of a monotone submodular welfare
-    (Fisher, Nemhauser and Wolsey, 1978).  Whether this greedy reaches
-    1 - 1/e on capped coverage, which would give the paper's (1 - 1/e)^2,
-    is open (ROADMAP item 7).  With num_samples > 0 the rounding also competes
+    these two steps alone.  The guarantee the README states and acceptance
+    test 07 checks is (1/2)(1 - 1/e)^2 of the optimum; it takes for the
+    greedy only the 1/2 that a plain greedy is guaranteed on a monotone
+    submodular welfare (Fisher, Nemhauser and Wolsey, 1978).  Whether this
+    greedy reaches 1 - 1/e on capped coverage, as the paper's (1 - 1/e)^2
+    needs, is open (ROADMAP item 7).  With num_samples > 0 the rounding also competes
     with that many uniform draws, each from its own child of the seed's
     SeedSequence, so one seed always gives one result.  The reported ratio
     certificate compares against a degree-based upper bound on the true

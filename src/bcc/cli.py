@@ -163,7 +163,7 @@ def _code_witness(code) -> dict:
 
 def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
                      exact: bool = False, cap: int = DEFAULT_ENUM_CAP,
-                     tol: float = DEFAULT_CHECK_TOL, compact=None) -> None:
+                     tol: float = DEFAULT_CHECK_TOL, compact: dict | None = None) -> None:
     """Compute the requested optima into report and add every check the run admits.
 
     wanted names quantities as in ALL_QUANTITIES; det is the deterministic view
