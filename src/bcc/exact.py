@@ -19,8 +19,8 @@ enumerates deterministic encoders instead and solves at most one linear
 program per encoder orbit: permuting the rows and columns of the k1 x k2
 message grid, and the box's two outputs with them, maps feasible boxes to
 feasible boxes of the same value, so only the lexicographically smallest
-encoder of each orbit of S_k1 x S_k2 is a candidate.  Each candidate gets
-an upper bound with no LP, and only those whose bound can still reach the
+encoder of each orbit of S_k1 x S_k2 is a candidate.  Each candidate gets a
+float upper bound with no LP, and only those whose bound can still reach the
 best value found are solved, in order of decreasing bound.  Its count and
 cap stay the number of labelled encoders, |X|^(k1 k2).  The programs share
 their constraints, so only the first pays for the simplex's phase 1.  It is
@@ -102,6 +102,13 @@ def _onehot(assignment, num_parts):
     return out
 
 
+def _decoded(w: DeterministicChannel, enc: np.ndarray, code: Code) -> tuple:
+    """Whether receiver 1 decodes i1, and receiver 2 i2, in each message cell."""
+    i1, i2 = np.indices((code.k1, code.k2))
+    y1, y2 = w.pairs[enc].transpose(2, 0, 1)
+    return np.asarray(code.decoder1)[y1] == i1, np.asarray(code.decoder2)[y2] == i2
+
+
 def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
     """Probability that both receivers decode a uniform message pair.
 
@@ -110,20 +117,24 @@ def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
     O(|X| + k1 k2); no dense table is built.
     """
     enc = _check_code(w, code)
-    i1, i2 = np.indices((code.k1, code.k2))
     if isinstance(w, DeterministicChannel):
-        y1, y2 = w.pairs[enc].transpose(2, 0, 1)
-        hits = (np.asarray(code.decoder1)[y1] == i1) & (np.asarray(code.decoder2)[y2] == i2)
-        return float(np.count_nonzero(hits) / (code.k1 * code.k2))
+        ok1, ok2 = _decoded(w, enc, code)
+        return float(np.count_nonzero(ok1 & ok2) / (code.k1 * code.k2))
     d1 = _onehot(code.decoder1, code.k1)
     d2 = _onehot(code.decoder2, code.k2)
     cell = np.einsum("yk,xyz,zl->xkl", d1, w.probs, d2)
+    i1, i2 = np.indices((code.k1, code.k2))
     return float(cell[enc, i1, i2].sum() / (code.k1 * code.k2))
 
 
-def sum_success(w: ChannelTable, code: Code) -> float:
-    """Average of the two receivers' individual success probabilities."""
+def sum_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
+    """Average of the two receivers' individual success probabilities,
+    counted on a deterministic channel as joint_success counts."""
     enc = _check_code(w, code)
+    if isinstance(w, DeterministicChannel):
+        ok1, ok2 = _decoded(w, enc, code)
+        hits = np.count_nonzero(ok1) + np.count_nonzero(ok2)
+        return float(hits / (2 * code.k1 * code.k2))
     m1 = w.probs.sum(axis=2) @ _onehot(code.decoder1, code.k1)
     m2 = w.probs.sum(axis=1) @ _onehot(code.decoder2, code.k2)
     i1, i2 = np.indices((code.k1, code.k2))
@@ -317,7 +328,7 @@ def _decoder_box_bounds(probs: np.ndarray, reps: np.ndarray, k1: int, k2: int,
     signaling sum_{y1, y2} max_{i1, i2} P.  The joint bound is the least of
     the three over k1 k2.  The sum bound (r1 + r2) / (2 k1 k2) is the optimum
     itself, since a product of deterministic marginals attains it.  The
-    bounds take probs's type: floats, or Fractions that make them exact.
+    bounds take probs's type; solve_ns_dec passes floats in both modes.
     """
     kk = k1 * k2
     _, n1, n2 = probs.shape
@@ -349,11 +360,11 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     reported count and the cap stay |X|^(k1 k2).
 
     Each candidate first gets an upper bound on its optimum with no LP
-    (_decoder_box_bounds).  The programs are solved in order of decreasing
-    bound, ties in lexicographic order, and the loop stops at the first
-    bound below the best value found less a margin: simplex.CHECK_TOL in
-    float mode, 0 in exact mode, where the bounds are exact Fractions.  No
-    encoder left unsolved can then reach the best value.  For the sum
+    (_decoder_box_bounds), in float in both modes.  The programs are solved
+    in order of decreasing bound, ties in lexicographic order, until a bound
+    falls below the best value found less simplex.CHECK_TOL, far above a
+    float bound's rounding: no unsolved encoder can reach or tie the best
+    value, so exact mode solves every optimal encoder.  For the sum
     objective the bound is the optimum, so one program is solved unless
     encoders tie.  For joint, on 60 random channels at k=(2, 2) with 3 or 4
     outputs per receiver, 9 to 14 of the 27 candidates of a 3-input channel
@@ -371,8 +382,9 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     once and each encoder swaps in its objective, and lp_solve runs phase 1
     once for all of them (and for a following call with the other objective),
     so a program's value, vertex and pivots do not depend on the order.
-    Exact mode solves each through solve_exact, a float solve with a rational
-    certificate, or the Fraction simplex when the certificate fails.
+    Exact mode converts the channel entries to Fractions once and solves each
+    program through solve_exact, a float solve with a rational certificate,
+    or the Fraction simplex when the certificate fails.
     """
     from .nsprograms import _decoder_box_objective
     from .simplex import CHECK_TOL, _to_fraction
@@ -383,16 +395,15 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
 
     box = build_decoder_box_lp(w, np.zeros((k1, k2), dtype=int), k1, k2, objective)
     reps = _orbit_representatives(nx, k1, k2)
-    bounds = _decoder_box_bounds(_to_fraction(w.probs) if exact else w.probs,
-                                 reps, k1, k2, objective)
-    margin = 0 if exact else CHECK_TOL
+    bounds = _decoder_box_bounds(w.probs, reps, k1, k2, objective)
+    probs = _to_fraction(w.probs) if exact else w.probs
     best_val, best_flat = None, None
     for i in np.argsort(-bounds, kind="stable"):
-        if best_val is not None and bounds[i] < best_val - margin:
+        if best_val is not None and bounds[i] < best_val - CHECK_TOL:
             break
         flat = tuple(reps[i].tolist())
         model = replace(box, objective=_decoder_box_objective(
-            w, reps[i].reshape(k1, k2), objective, exact))
+            probs[reps[i].reshape(k1, k2)], objective))
         sol = solve_exact(model, lp_solve) if exact else lp_solve(model)
         if (best_val is None or sol.value > best_val
                 or (sol.value == best_val and flat < best_flat)):

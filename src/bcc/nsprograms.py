@@ -14,7 +14,8 @@ into the p/r/r1/r2 blocks, or into the box axes), states every constraint
 family as terms on those arrays, and hands the families to `_assemble`, the
 one place where rows become dense.  A family's rows come out in the C order
 of its index arrays, and a matrix above the program's entry cap is refused
-before it is allocated.
+before it is allocated.  The compact program's row and variable names are
+spelled from the same shapes, one letter per axis, so they follow that order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -49,8 +51,7 @@ def _assemble(n: int, families, cap: int) -> tuple:
     up in term order.  The shapes give the row count, so a matrix of more
     than cap entries is refused before anything is allocated.
     """
-    counts = [math.prod(np.broadcast_shapes(*(np.shape(idx) for idx, _ in terms)))
-              for terms, _, _ in families]
+    counts = [math.prod(_rows_shape(terms)) for terms, _, _ in families]
     total = sum(counts)
     _check_cap(SizeCapExceededError, cap, (total * n, 1))
     rows = np.zeros((total, n))
@@ -62,6 +63,17 @@ def _assemble(n: int, families, cap: int) -> tuple:
         start += count
     rels = tuple(rel for (_, rel, _), count in zip(families, counts) for _ in range(count))
     return rows, rels, np.repeat([float(b) for _, _, b in families], counts)
+
+
+def _rows_shape(terms) -> tuple:
+    """Broadcast shape of a family's index arrays: the shape of its rows."""
+    return np.broadcast_shapes(*(np.shape(idx) for idx, _ in terms))
+
+
+def _names(prefix: str, letters: str, shape: tuple) -> list:
+    """prefix_<letter><index>... for every cell of shape, in C order."""
+    suffixes = [[f"_{letter}{i}" for i in range(size)] for letter, size in zip(letters, shape)]
+    return [prefix + "".join(parts) for parts in product(*suffixes)]
 
 
 def _over(idx: np.ndarray, coef: float) -> list:
@@ -78,62 +90,48 @@ def _compact_index(nx: int, n1: int, n2: int) -> tuple:
 
 def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str) -> LpModel:
     _check_k(k1, k2)
-    nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
-    p, r, r1, r2, n = _compact_index(nx, n1, n2)
-    outs = [(a, b) for a in range(n1) for b in range(n2)]
-    cells = [(x, a, b) for x in range(nx) for a, b in outs]
-    pairs1 = [(x, a) for x in range(nx) for a in range(n1)]
-    pairs2 = [(x, b) for x in range(nx) for b in range(n2)]
+    p, r, r1, r2, n = _compact_index(w.input_size, w.out1_size, w.out2_size)
     p3, r13, r23 = p[:, None, None], r1[:, :, None], r2[:, None, :]
+    # (terms, relation, rhs, row name prefix, one name letter per row axis)
     families = [
-        (_over(r, 1.0), EQ, 1.0, [f"norm_r_a{a}_b{b}" for a, b in outs]),
-        (_over(r1, 1.0), EQ, k2, [f"norm_r1_a{a}" for a in range(n1)]),
-        (_over(r2, 1.0), EQ, k1, [f"norm_r2_b{b}" for b in range(n2)]),
-        (_over(p, 1.0), EQ, k1 * k2, ["norm_p"]),
-        ([(r, 1.0), (r13, -1.0)], LE, 0.0,
-         [f"r_le_r1_x{x}_a{a}_b{b}" for x, a, b in cells]),
-        ([(r, 1.0), (r23, -1.0)], LE, 0.0,
-         [f"r_le_r2_x{x}_a{a}_b{b}" for x, a, b in cells]),
-        ([(r1, 1.0), (p[:, None], -1.0)], LE, 0.0,
-         [f"r1_le_p_x{x}_a{a}" for x, a in pairs1]),
-        ([(r2, 1.0), (p[:, None], -1.0)], LE, 0.0,
-         [f"r2_le_p_x{x}_b{b}" for x, b in pairs2]),
-        ([(p3, 1.0), (r13, -1.0), (r23, -1.0), (r, 1.0)], GE, 0.0,
-         [f"slack_x{x}_a{a}_b{b}" for x, a, b in cells]),
+        (_over(r, 1.0), EQ, 1.0, "norm_r", "ab"),
+        (_over(r1, 1.0), EQ, k2, "norm_r1", "a"),
+        (_over(r2, 1.0), EQ, k1, "norm_r2", "b"),
+        (_over(p, 1.0), EQ, k1 * k2, "norm_p", ""),
+        ([(r, 1.0), (r13, -1.0)], LE, 0.0, "r_le_r1", "xab"),
+        ([(r, 1.0), (r23, -1.0)], LE, 0.0, "r_le_r2", "xab"),
+        ([(r1, 1.0), (p[:, None], -1.0)], LE, 0.0, "r1_le_p", "xa"),
+        ([(r2, 1.0), (p[:, None], -1.0)], LE, 0.0, "r2_le_p", "xb"),
+        ([(p3, 1.0), (r13, -1.0), (r23, -1.0), (r, 1.0)], GE, 0.0, "slack", "xab"),
     ]
-
-    c = _compact_objective(w, k1, k2, objective)
-    names = ([f"p_x{x}" for x in range(nx)]
-             + [f"r_x{x}_a{a}_b{b}" for x, a, b in cells]
-             + [f"r1_x{x}_a{a}" for x, a in pairs1]
-             + [f"r2_x{x}_b{b}" for x, b in pairs2])
     rows, rels, rhs = _assemble(n, [f[:3] for f in families], DEFAULT_ENTRY_CAP)
-    return LpModel(n, c, rows, rels, rhs, var_names=tuple(names),
-                   row_names=tuple(name for f in families for name in f[3]))
+    row_names = tuple(name for terms, _, _, prefix, letters in families
+                      for name in _names(prefix, letters, _rows_shape(terms)))
+    var_names = (*_names("p", "x", p.shape), *_names("r", "xab", r.shape),
+                 *_names("r1", "xa", r1.shape), *_names("r2", "xb", r2.shape))
+    return LpModel(n, _compact_objective(w.probs, k1, k2, objective), rows, rels, rhs,
+                   var_names=var_names, row_names=row_names)
 
 
-def _compact_objective(w: ChannelTable, k1: int, k2: int, objective: str,
-                       exact: bool = False) -> np.ndarray:
-    """Objective of the compact program: w.probs / (k1 k2) on the r block for
-    joint, the marginals / (2 k1 k2) on the r1 and r2 blocks for sum.
+def _compact_objective(probs: np.ndarray, k1: int, k2: int, objective: str) -> np.ndarray:
+    """Objective of the compact program of the channel entries probs: probs /
+    (k1 k2) on the r block for joint, the marginals / (2 k1 k2) on the r1 and
+    r2 blocks for sum, zero elsewhere.
 
-    Float mode divides (and sums the marginals) in float, so a coefficient
-    is rounded unless k1 k2 is a power of two and the entries are dyadic.
-    Exact mode converts the channel entries to Fractions first, so every
-    coefficient is the exact rational one of the channel.
+    The coefficients take the entries' type.  Floats are divided (and the
+    marginals summed) in float, so a coefficient is rounded unless k1 k2 is
+    a power of two and the entries are dyadic; Fractions give the channel's
+    exact rational coefficients.
     """
-    nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
-    _, r, r1, r2, n = _compact_index(nx, n1, n2)
-    c = np.full(n, Fraction(0), dtype=object) if exact else np.zeros(n)
-    probs = _to_fraction(w.probs) if exact else w.probs
+    zero = 0 * probs   # zeros of the entries' type, blocks in p, r, r1, r2 order
     if objective == "joint":
-        c[r] = probs / (k1 * k2)
-    elif objective == "sum":
-        c[r1] = probs.sum(axis=2) / (2 * k1 * k2)   # the marginals W1, W2
-        c[r2] = probs.sum(axis=1) / (2 * k1 * k2)
+        blocks = (zero[:, 0, 0], probs / (k1 * k2), zero[:, :, 0], zero[:, 0])
+    elif objective == "sum":   # the marginals W1 and W2 on r1 and r2
+        blocks = (zero[:, 0, 0], zero, probs.sum(axis=2) / (2 * k1 * k2),
+                  probs.sum(axis=1) / (2 * k1 * k2))
     else:
         raise ValidationError(f"unknown objective {objective!r}")
-    return c
+    return np.concatenate([block.ravel() for block in blocks])
 
 
 def build_ns_joint(w: ChannelTable, k1: int, k2: int) -> LpModel:
@@ -211,51 +209,42 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
         raise BadParametersError(f"encoder shape {enc.shape} != ({k1}, {k2})")
     if enc.min() < 0 or enc.max() >= nx:
         raise BadParametersError("encoder output out of range")
-    shape = (k1, k2, n1, n2)
-    n = int(np.prod(shape))
-    v = np.arange(n).reshape(shape)
+    v = np.arange(k1 * k2 * n1 * n2).reshape(k1, k2, n1, n2)
 
     marg_1 = v.transpose(1, 0, 2, 3)   # over j2, rows (j1, y1, y2 >= 1)
     marg_2 = v.transpose(0, 1, 3, 2)   # over j1, rows (j2, y2, y1 >= 1)
-    rows, rels, rhs = _assemble(n, [
+    rows, rels, rhs = _assemble(v.size, [
         (_over(v.reshape(k1 * k2, n1, n2), 1.0), EQ, 1.0),
         *(([*_over(m[..., 1:], 1.0), *_over(m[..., :1], -1.0)], EQ, 0.0)
           for m in (marg_1, marg_2)),
     ], DEFAULT_ENTRY_CAP)
-    return LpModel(n, _decoder_box_objective(w, enc, objective), rows, rels, rhs)
+    return LpModel(v.size, _decoder_box_objective(w.probs[enc], objective), rows, rels, rhs)
 
 
-def _decoder_box_objective(w: ChannelTable, enc: np.ndarray, objective: str,
-                           exact: bool = False) -> np.ndarray:
-    """Objective of the decoder-box program for a checked (k1, k2) encoder array.
+def _decoder_box_objective(sent: np.ndarray, objective: str) -> np.ndarray:
+    """Objective of the decoder-box program of sent = probs[enc], the channel
+    entries an encoder sends, axes (i1, i2, y1, y2).
 
     Only this part of the program depends on the encoder.  Each coefficient
-    is a sum of terms w.probs[x] / (k1 k2), or / (2 k1 k2) for sum.  Float
-    mode divides and adds in float, so a sum coefficient can differ from its
-    renamed twin by rounding.  Exact mode converts the channel entries to
-    Fractions first, so every coefficient is the exact rational sum and
-    renaming the messages permutes the objective exactly.
+    is a sum of entries / (k1 k2), or / (2 k1 k2) for sum, in the entries'
+    type.  Floats are divided and added in float, so a sum coefficient can
+    differ from its renamed twin by rounding; Fractions give the exact
+    rational sums, and renaming the messages permutes the objective exactly.
     """
-    k1, k2 = enc.shape
-    n1, n2 = w.out1_size, w.out2_size
-    n = k1 * k2 * n1 * n2
-    v = np.arange(n).reshape(k1, k2, n1, n2)
-    c = np.full(n, Fraction(0), dtype=object) if exact else np.zeros(n)
-    sent = w.probs[enc]   # (i1, i2, y1, y2)
-    if exact:
-        sent = _to_fraction(sent)
+    k1, k2, n1, n2 = sent.shape
     if objective == "joint":
-        np.add.at(c, v, sent / (k1 * k2))
-    elif objective == "sum":
-        # Cell (i1, i2, y1, y2) adds its weight to v[i1, j2, y1, y2] for each
-        # j2, then to v[j1, i2, y1, y2] for each j1; np.add.at keeps that
-        # order, which fixes the float sum of the k1 + k2 terms per cell.
-        by_j2 = np.broadcast_to(v.transpose(0, 2, 3, 1)[:, None], (k1, k2, n1, n2, k2))
-        by_j1 = np.broadcast_to(v.transpose(1, 2, 3, 0)[None], (k1, k2, n1, n2, k1))
-        np.add.at(c, np.concatenate([by_j2, by_j1], axis=-1),
-                  (sent / (2 * k1 * k2))[..., None])
-    else:
+        return (sent / (k1 * k2)).ravel()
+    if objective != "sum":
         raise ValidationError(f"unknown objective {objective!r}")
+    # Cell (i1, i2, y1, y2) adds its weight to v[i1, j2, y1, y2] for each j2,
+    # then to v[j1, i2, y1, y2] for each j1; np.add.at keeps that order,
+    # which fixes the float sum of the k1 + k2 terms per cell.
+    c = (0 * sent).ravel()   # zeros of the entries' type
+    v = np.arange(c.size).reshape(sent.shape)
+    by_j2 = np.broadcast_to(v.transpose(0, 2, 3, 1)[:, None], (k1, k2, n1, n2, k2))
+    by_j1 = np.broadcast_to(v.transpose(1, 2, 3, 0)[None], (k1, k2, n1, n2, k1))
+    np.add.at(c, np.concatenate([by_j2, by_j1], axis=-1),
+              (sent / (2 * k1 * k2))[..., None])
     return c
 
 
@@ -346,12 +335,11 @@ def solve_ns(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     solve_exact: a float solve with a rational certificate, or the Fraction
     simplex when the certificate fails.
     """
-    build = build_ns_joint if objective == "joint" else build_ns_sum
     if objective not in ("joint", "sum"):
         raise ValidationError(f"unknown objective {objective!r}")
     if model is None:
-        model = build(w, k1, k2)
+        model = (build_ns_joint if objective == "joint" else build_ns_sum)(w, k1, k2)
     if not exact:
         return extract_ns_solution(w, k1, k2, lp_solve(model))
-    model = replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))
+    model = replace(model, objective=_compact_objective(_to_fraction(w.probs), k1, k2, objective))
     return extract_ns_solution(w, k1, k2, solve_exact(model, lp_solve))

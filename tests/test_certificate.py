@@ -33,20 +33,20 @@ from bcc import (
 )
 from bcc.cli import main
 from bcc.nsprograms import _compact_objective, _decoder_box_objective
-from bcc.simplex import EXACT_VAR_CAP
+from bcc.simplex import EXACT_VAR_CAP, _to_fraction
 from test_exact_golden import SPECS, build, mixed_relations_lp
 
 
 def exact_compact(w, k1, k2, objective):
     """The compact program with the channel's exact rational objective."""
     model = (build_ns_joint if objective == "joint" else build_ns_sum)(w, k1, k2)
-    return replace(model, objective=_compact_objective(w, k1, k2, objective, exact=True))
+    return replace(model, objective=_compact_objective(_to_fraction(w.probs), k1, k2, objective))
 
 
 def exact_box(w, enc, objective="joint"):
     enc = np.asarray(enc)
     model = build_decoder_box_lp(w, enc, *enc.shape, objective)
-    return replace(model, objective=_decoder_box_objective(w, enc, objective, exact=True))
+    return replace(model, objective=_decoder_box_objective(_to_fraction(w.probs[enc]), objective))
 
 
 def certified(model):

@@ -121,6 +121,23 @@ def test_joint_success_counts_on_deterministic_channels():
             assert got == joint_success(table, code) == success_by_loops(table, code)
 
 
+def test_sum_success_counts_on_deterministic_channels(monkeypatch):
+    # Scored by counting the message cells each receiver decodes, as
+    # joint_success does; the dense table is built only for the reference.
+    rng = np.random.default_rng(47)
+    for trial in range(60):
+        nx = int(rng.integers(1, 13))
+        n1, n2 = (int(v) for v in rng.integers(1, 6, size=2))
+        k1, k2 = (int(v) for v in rng.integers(1, 8, size=2))
+        dc = random_deterministic_channel(nx, n1, n2, seed=int(rng.integers(10**6)))
+        code = random_code(k1, k2, nx, n1, n2, seed=int(rng.integers(10**6)))
+        table = dc.to_table()
+        with monkeypatch.context() as m:
+            m.setattr(DeterministicChannel, "to_table", None)
+            got = sum_success(dc, code)
+        assert got == sum_success(table, code) == success_by_loops(table, code, "sum")
+
+
 def test_code_validation_errors():
     w = random_channel(2, 2, 2, seed=0)
     dc = DeterministicChannel(2, 2, 2, ((0, 1), (1, 1)))
@@ -134,9 +151,10 @@ def test_code_validation_errors():
     for code in bad_codes:
         messages = set()
         for channel in (w, dc.to_table(), dc):
-            with pytest.raises(DimensionMismatchError) as info:
-                joint_success(channel, code)
-            messages.add(str(info.value))
+            for score in (joint_success, sum_success):
+                with pytest.raises(DimensionMismatchError) as info:
+                    score(channel, code)
+                messages.add(str(info.value))
         assert len(messages) == 1
     with pytest.raises(DimensionMismatchError):
         sum_success(w, Code(2, 2, ((0, 1), (0, 1)), (0, 2), (0, 1)))
@@ -504,6 +522,27 @@ def test_ns_dec_solves_at_most_one_lp_per_encoder_orbit(monkeypatch):
         assert 0 < len(calls) < 27
     with pytest.raises(EnumerationCapExceededError):
         solve_ns_dec(random_channel(3, 2, 2, seed=0), 2, 2, cap=80)
+
+
+@pytest.mark.parametrize("objective", ["joint", "sum"])
+def test_ns_dec_exact_mode_prunes_on_float_bounds(monkeypatch, objective):
+    # Exact mode prunes as float mode does, on float bounds with margin
+    # CHECK_TOL: its float lp_solve calls, one per solve_exact, are the LPs
+    # the bound rule leaves on the oracle's float bounds and exact values.
+    # The non-dyadic channels' float bounds and exact values round apart.
+    calls = counted_lp_solve(monkeypatch)
+    cases = [(w, 2, 2) for w in ns_dec_channels(3).values()]
+    cases += [(random_channel(3, 3, 3, seed=0), 2, 2), (random_channel(2, 2, 3, seed=0), 2, 3),
+              (random_dyadic_channel(3, 3, 3, seed=1), 2, 2)]
+    for w, k1, k2 in cases:
+        reps = orbit_minima(w.input_size, k1, k2)
+        calls.clear()
+        report = solve_ns_dec(w, k1, k2, objective, exact=True)
+        values = [decoder_box_value(w, e, objective, exact=True) for e in reps]
+        implied = pruned_lp_count([decoder_box_bound(w, e, objective) for e in reps],
+                                  values, CHECK_TOL)
+        assert calls.count(False) == implied
+        assert report.value == max(values)
 
 
 def test_negative_caps_are_bad_parameters():

@@ -80,6 +80,42 @@ def test_model_shapes_and_names():
     assert "r_x0_a0_b0" in model.var_names
 
 
+def test_compact_names_on_an_asymmetric_channel():
+    # Every axis has its own length (2 inputs, 3 and 4 outputs) and k1 != k2,
+    # so a swapped name letter or axis order changes the names.
+    nx, n1, n2 = 2, 3, 4
+    outs = [(a, b) for a in range(n1) for b in range(n2)]
+    cells = [(x, a, b) for x in range(nx) for a, b in outs]
+    pairs1 = [(x, a) for x in range(nx) for a in range(n1)]
+    pairs2 = [(x, b) for x in range(nx) for b in range(n2)]
+    row_names = ([f"norm_r_a{a}_b{b}" for a, b in outs]
+                 + [f"norm_r1_a{a}" for a in range(n1)]
+                 + [f"norm_r2_b{b}" for b in range(n2)] + ["norm_p"]
+                 + [f"r_le_r1_x{x}_a{a}_b{b}" for x, a, b in cells]
+                 + [f"r_le_r2_x{x}_a{a}_b{b}" for x, a, b in cells]
+                 + [f"r1_le_p_x{x}_a{a}" for x, a in pairs1]
+                 + [f"r2_le_p_x{x}_b{b}" for x, b in pairs2]
+                 + [f"slack_x{x}_a{a}_b{b}" for x, a, b in cells])
+    var_names = ([f"p_x{x}" for x in range(nx)]
+                 + [f"r_x{x}_a{a}_b{b}" for x, a, b in cells]
+                 + [f"r1_x{x}_a{a}" for x, a in pairs1]
+                 + [f"r2_x{x}_b{b}" for x, b in pairs2])
+    w = random_channel(nx, n1, n2, seed=3)
+    for build in (build_ns_joint, build_ns_sum):
+        model = build(w, 2, 3)
+        assert list(model.row_names) == row_names
+        assert list(model.var_names) == var_names
+        assert len(set(row_names)) == model.num_rows
+        assert len(set(var_names)) == model.num_vars
+    # A named row holds its terms at the variables of the same names.
+    col = {name: j for j, name in enumerate(var_names)}
+    for x, a, b in cells:
+        want = np.zeros(model.num_vars)
+        want[[col[f"p_x{x}"], col[f"r_x{x}_a{a}_b{b}"]]] = 1.0
+        want[[col[f"r1_x{x}_a{a}"], col[f"r2_x{x}_b{b}"]]] = -1.0
+        assert np.array_equal(model.rows[row_names.index(f"slack_x{x}_a{a}_b{b}")], want)
+
+
 def test_ns_sandwich_and_baselines_random():
     rng = np.random.default_rng(5)
     for k1, k2 in ((2, 2), (2, 3), (3, 2)):
