@@ -163,16 +163,21 @@ def _code_witness(code) -> dict:
 
 def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
                      exact: bool = False, cap: int = DEFAULT_ENUM_CAP,
-                     tol: float = DEFAULT_CHECK_TOL, compact: dict | None = None) -> None:
+                     tol: float = DEFAULT_CHECK_TOL, compact: dict | None = None,
+                     base=None, n: int = 1) -> None:
     """Compute the requested optima into report and add every check the run admits.
 
     wanted names quantities as in ALL_QUANTITIES; det is the deterministic view
-    of table, or None.  compact maps an objective ("joint" or "sum") to its
-    compact program, already built, for solve_ns to solve instead of a new
-    build.  The solvers run in a fixed order (joint, sum, ns, ns-sum, ns-dec),
-    which decides what the simplex's phase-1 reuse can share.
+    of table, or None.  When base is given, table is its n-th tensor power,
+    and the assisted programs (ns, ns-sum) are solved over base's joint
+    types.  compact maps an objective ("joint" or "sum") to its compact
+    program, already built, for solve_ns to solve instead of a new build.
+    The solvers run in a fixed order (joint, sum, ns, ns-sum, ns-dec), which
+    decides what the simplex's phase-1 reuse can share.
     """
     compact = compact or {}
+    if base is None:
+        base = table
     q = report.quantities
 
     def store(name, value):
@@ -189,11 +194,11 @@ def solve_quantities(report: Report, table, det, k1: int, k2: int, wanted, *,
         q["S_sum"] = rep.value
         report.witnesses["sum_code"] = _code_witness(rep.witness)
     if "ns" in wanted:
-        store("S_ns", solve_ns(table, k1, k2, "joint", exact=exact,
-                               model=compact.get("joint")).value)
+        store("S_ns", solve_ns(base, k1, k2, "joint", exact=exact,
+                               model=compact.get("joint"), n=n).value)
     if "ns-sum" in wanted:
-        store("S_ns_sum", solve_ns(table, k1, k2, "sum", exact=exact,
-                                   model=compact.get("sum")).value)
+        store("S_ns_sum", solve_ns(base, k1, k2, "sum", exact=exact,
+                                   model=compact.get("sum"), n=n).value)
     if "ns-dec" in wanted:
         rep = solve_ns_dec(table, k1, k2, "joint", cap=cap, exact=exact)
         store("S_ns_dec", rep.value)
@@ -265,9 +270,13 @@ def cmd_solve(args) -> Report:
     inputs = {"channel": str(args.channel), "k1": args.k1, "k2": args.k2,
               "which": list(wanted), "exact": bool(args.exact)}
     provenance = _provenance(args, enum_cap=args.enum_cap)
+    base, n = table, 1
     if args.command == "tensor":
-        table, det = _as_table(tensor_power(table, args.n, cap=args.entry_cap))
-        inputs["n"] = args.n
+        # The dense power serves joint, sum, ns-dec and the entry cap; the
+        # assisted programs are solved over the base channel's joint types.
+        n = args.n
+        table, det = _as_table(tensor_power(base, n, cap=args.entry_cap))
+        inputs["n"] = n
         provenance["entry_cap"] = args.entry_cap
     report = Report(args.command, inputs=inputs, provenance=provenance)
     # The exported program is the one solve_ns solves, built once for both.
@@ -275,9 +284,9 @@ def cmd_solve(args) -> Report:
     if args.lp_export:
         export = "sum" if wanted == ("ns-sum",) else "joint"
         build = build_ns_sum if export == "sum" else build_ns_joint
-        compact[export] = build(table, args.k1, args.k2)
+        compact[export] = build(base, args.k1, args.k2, n)
     solve_quantities(report, table, det, args.k1, args.k2, wanted, exact=args.exact,
-                     cap=args.enum_cap, tol=args.check_tol, compact=compact)
+                     cap=args.enum_cap, tol=args.check_tol, compact=compact, base=base, n=n)
     if args.lp_export:
         with open(_resolve(args.lp_export), "w") as fp:
             lp_write_text(compact[export], fp)
@@ -391,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
                         help="abort enumeration beyond this many candidates")
     solver.add_argument("--lp-export",
-                        help="also write the assisted program in LP text format")
+                        help="also write the assisted program in LP text format "
+                             "(for tensor, the program over joint types)")
 
     p = sub.add_parser("solve", parents=[common, solver],
                        help="exact and assisted optima of a channel")

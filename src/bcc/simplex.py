@@ -28,7 +28,11 @@ An exact optimum is best had from a float solve: certify rounds its vertex
 and the duals of its final basis to small fractions and proves them optimal
 in exact arithmetic, and solve_exact falls back to the Fraction simplex,
 lp_solve(exact=True), only when that proof fails.  The Fraction simplex is
-capped at EXACT_VAR_CAP variables; the certificate is not.
+capped at EXACT_VAR_CAP variables; the certificate is not.  The exact checks
+(certify, and constraint_violation on Fractions) convert the rows and
+right-hand side of the last constraints they saw once, and reuse them while
+the constraints match by value, so a family of programs that differ only in
+their objective pays for one conversion.
 """
 
 from __future__ import annotations
@@ -125,20 +129,48 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     An object array x (of Fractions) is checked in exact arithmetic.
     """
     x = np.asarray(x)
-    rhs, worst = model.rhs, 0.0
+    worst = 0.0
     if x.dtype == object:
         # Only terms with a nonzero coefficient and a nonzero x_j are formed;
         # the others add exactly 0.
-        rhs, worst = _to_fraction(rhs), Fraction(0)
-        support = np.flatnonzero(x)
-        i, j = np.nonzero(model.rows[:, support])
-        gap = -rhs
-        np.add.at(gap, i, _to_fraction(model.rows[i, support[j]]) * x[support[j]])
+        frac = _fraction_rows(model)
+        worst, used = Fraction(0), x[frac.col] != 0
+        gap = -frac.rhs
+        np.add.at(gap, frac.row[used], frac.value[used] * x[frac.col[used]])
     else:
-        gap = model.rows @ x - rhs
+        gap = model.rows @ x - model.rhs
     rel = np.asarray(model.relations)
     gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), -x])
     return gaps.max(initial=worst)
+
+
+@dataclass(frozen=True)
+class _FractionRows:
+    """A model's constraint nonzeros, row-major, and its right-hand side, in
+    Fractions converted exactly from their floats."""
+
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+    rhs: np.ndarray
+
+
+_last_fraction_rows: dict[tuple, _FractionRows] = {}
+"""The latest conversion, reused while the rows and rhs match by value, so
+that the exact checks of a family of programs that differ only in their
+objective convert the shared constraints once."""
+
+
+def _fraction_rows(model: LpModel) -> _FractionRows:
+    """The model's rows and rhs as Fractions, converted once per constraint set."""
+    key = (_content(model.rows), _content(model.rhs))
+    last = _last_fraction_rows.get(key)
+    if last is None:
+        _last_fraction_rows.clear()
+        i, j = np.nonzero(model.rows)
+        last = _last_fraction_rows[key] = _FractionRows(
+            i, j, _to_fraction(model.rows[i, j]), _to_fraction(model.rhs))
+    return last
 
 
 def _content(a: np.ndarray) -> tuple:
@@ -179,13 +211,14 @@ class _Tableau:
         T = self.T
         col = T[:, q].copy()
         col[p] = 0.0
-        T[p] = T[p] / T[p, q]
-        cols = T[p].nonzero()[0]
-        T[:, cols] -= col[:, None] * T[p, cols]
+        row = T[p]
+        row /= row[q]
+        cols = row.nonzero()[0]
+        T[:, cols] -= col[:, None] * row[cols]
         T[:, q] = 0.0
         T[p, q] = 1.0
         self.basis[p] = q
-        T[:, -1] = np.maximum(T[:, -1], 0.0)
+        np.maximum(T[:, -1], 0.0, out=T[:, -1])
 
     def subtract_row(self, r, coef, i: int):
         """r -= coef * T[i, :-1], in place."""
@@ -198,17 +231,21 @@ class _Tableau:
 
     def entering(self, r) -> int:
         """Lowest index with positive reduced cost, or -1 at an optimum."""
-        above = np.flatnonzero(r > self.pivot_tol)
-        return int(above[0]) if above.size else -1
+        above = r > self.pivot_tol
+        q = int(above.argmax())
+        return q if above[q] else -1
 
     def leaving(self, q: int) -> int:
-        """Minimum-ratio row; ratio ties go to the lowest basis index."""
+        """Minimum-ratio row, or -1 when none; ratio ties go to the lowest
+        basis index."""
         col = self.T[:, q]
-        rows = np.flatnonzero(col > self.pivot_tol)
-        if not rows.size:
-            return -1
+        rows = (col > self.pivot_tol).nonzero()[0]
+        if rows.size < 2:
+            return int(rows[0]) if rows.size else -1
         ratios = self.T[rows, -1] / col[rows]
         ties = rows[ratios == ratios.min()]
+        if ties.size == 1:
+            return int(ties[0])
         return int(ties[np.argmin(self.basis[ties])])
 
     def run_phase(self, cost, phase: int):
@@ -463,11 +500,12 @@ def certify(model: LpModel, sol: LpSolution) -> LpSolution | None:
     c = model.objective if model.objective.dtype == object else _to_fraction(model.objective)
     support, duals = np.flatnonzero(x), np.flatnonzero(y)
     value = sum(c[support] * x[support], Fraction(0))
-    if value != sum(_to_fraction(model.rhs[duals]) * y[duals], Fraction(0)):
+    frac = _fraction_rows(model)
+    if value != sum(frac.rhs[duals] * y[duals], Fraction(0)):
         return None
-    i, j = np.nonzero(model.rows[duals])
+    used = y[frac.row] != 0
     aty = np.full(model.num_vars, Fraction(0), dtype=object)
-    np.add.at(aty, j, _to_fraction(model.rows[duals[i], j]) * y[duals[i]])
+    np.add.at(aty, frac.col[used], frac.value[used] * y[frac.row[used]])
     if (c - aty > 0).any() or constraint_violation(model, x) > 0:
         return None
     return LpSolution("optimal", value, x, sol.pivots, basis)

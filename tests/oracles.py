@@ -216,6 +216,67 @@ def looped_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> 
     return r
 
 
+def compact_program_by_loops(probs: np.ndarray, k1: int, k2: int, objective: str) -> dict:
+    """The compact program of one channel use, written row by row in loops:
+    objective, rows, relations, rhs and names, as the package lays them out
+    (variables p, r, r1, r2 and the row families in order, indices
+    row-major)."""
+    nx, n1, n2 = probs.shape
+    names = ([f"p_x{x}" for x in range(nx)]
+             + [f"r_x{x}_a{a}_b{b}" for x in range(nx) for a in range(n1) for b in range(n2)]
+             + [f"r1_x{x}_a{a}" for x in range(nx) for a in range(n1)]
+             + [f"r2_x{x}_b{b}" for x in range(nx) for b in range(n2)])
+    col = {name: j for j, name in enumerate(names)}
+    rows, rels, rhs, row_names = [], [], [], []
+
+    def add(name, terms, rel, b):
+        row = np.zeros(len(names))
+        for var, coef in terms:
+            row[col[var]] += coef
+        rows.append(row)
+        rels.append(rel)
+        rhs.append(float(b))
+        row_names.append(name)
+
+    for a in range(n1):
+        for b in range(n2):
+            add(f"norm_r_a{a}_b{b}", [(f"r_x{x}_a{a}_b{b}", 1.0) for x in range(nx)], EQ, 1)
+    for a in range(n1):
+        add(f"norm_r1_a{a}", [(f"r1_x{x}_a{a}", 1.0) for x in range(nx)], EQ, k2)
+    for b in range(n2):
+        add(f"norm_r2_b{b}", [(f"r2_x{x}_b{b}", 1.0) for x in range(nx)], EQ, k1)
+    add("norm_p", [(f"p_x{x}", 1.0) for x in range(nx)], EQ, k1 * k2)
+    cells = [(x, a, b) for x in range(nx) for a in range(n1) for b in range(n2)]
+    for other, cut in (("r1", "a"), ("r2", "b")):
+        for x, a, b in cells:
+            add(f"r_le_{other}_x{x}_a{a}_b{b}",
+                [(f"r_x{x}_a{a}_b{b}", 1.0), (f"{other}_x{x}_{cut}{a if cut == 'a' else b}", -1.0)],
+                LE, 0)
+    for block, letter, size in (("r1", "a", n1), ("r2", "b", n2)):
+        for x in range(nx):
+            for y in range(size):
+                add(f"{block}_le_p_x{x}_{letter}{y}",
+                    [(f"{block}_x{x}_{letter}{y}", 1.0), (f"p_x{x}", -1.0)], LE, 0)
+    for x, a, b in cells:
+        add(f"slack_x{x}_a{a}_b{b}", [(f"p_x{x}", 1.0), (f"r1_x{x}_a{a}", -1.0),
+                                      (f"r2_x{x}_b{b}", -1.0), (f"r_x{x}_a{a}_b{b}", 1.0)], GE, 0)
+
+    c = np.zeros(len(names))
+    w1, w2 = probs.sum(axis=2), probs.sum(axis=1)
+    for x, a, b in cells:
+        if objective == "joint":
+            c[col[f"r_x{x}_a{a}_b{b}"]] = probs[x, a, b] / (k1 * k2)
+    if objective == "sum":
+        for x in range(nx):
+            for a in range(n1):
+                c[col[f"r1_x{x}_a{a}"]] = w1[x, a] / (2 * k1 * k2)
+            for b in range(n2):
+                c[col[f"r2_x{x}_b{b}"]] = w2[x, b] / (2 * k1 * k2)
+    return {"num_vars": len(names), "objective": c, "rows": np.array(rows),
+            "relations": tuple(rels), "rhs": np.array(rhs),
+            "var_names": tuple(names), "row_names": tuple(row_names)}
+
+
 def quotient_pair_set(g, p1, p2) -> set:
     """Part pairs (i1, i2) joined by at least one edge, as an explicit set."""
     return {(p1.assignment[u], p2.assignment[v]) for u, v in g.edges()}

@@ -272,3 +272,17 @@ def test_cli_exits_3_above_the_cap_only_when_the_certificate_fails(tmp_path, cap
     assert code == 0 and '"S_ns_exact": "13/32"' in out
     monkeypatch.setattr(bcc.simplex, "certify", lambda model, sol: None)
     assert cli_stdout(capsys, argv) == (3, "")
+
+
+def test_shared_constraints_are_converted_to_fractions_once():
+    # Decoder-box LPs of one channel differ only in their objective: their
+    # rows and rhs are converted once, and the certificates are unchanged.
+    w = random_dyadic_channel(3, 2, 2, seed=0)
+    first, second = (exact_box(w, enc) for enc in ([[0, 1], [2, 0]], [[1, 1], [0, 2]]))
+    rows = bcc.simplex._fraction_rows(first)
+    for model in (first, second):
+        assert certified(model).value == lp_solve(model, exact=True).value
+        assert bcc.simplex._fraction_rows(model) is rows
+    other = replace(first, rhs=first.rhs * 2)
+    assert bcc.simplex._fraction_rows(other) is not rows
+    assert list(bcc.simplex._fraction_rows(other).rhs) == list(_to_fraction(other.rhs))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcc.channels
 import bcc.cli
 import bcc.exact
 import bcc.nsprograms
@@ -638,7 +639,7 @@ def test_cli_lp_export_builds_the_compact_program_once(
     built = []
 
     def counting_build(*args):
-        built.append(args[-1])
+        built.append(args[3])   # the objective
         return real_build(*args)
 
     monkeypatch.setattr(bcc.nsprograms, "_build_compact", counting_build)
@@ -651,6 +652,37 @@ def test_cli_lp_export_builds_the_compact_program_once(
     expected = io.StringIO()
     bcc.simplex.lp_write_text(real_build(w, 2, 2, exported), expected)
     assert lp_path.read_text() == expected.getvalue()
+
+
+def test_cli_tensor_solves_and_exports_the_types_program(tmp_path, capsys):
+    # ns and ns-sum of the square solve the 59-variable program over joint
+    # types, not the 100-variable compact program of the dense square.
+    w = random_channel(2, 2, 2, seed=0)
+    path = write_channel(tmp_path, w)
+    lp_path = tmp_path / "types.lp"
+    code, out, err = run_cli(capsys, "tensor", str(path), "--n", "2", "--k1", "2", "--k2", "2",
+                             "--which", "ns", "ns-sum", "--lp-export", str(lp_path), "--verify")
+    assert (code, err) == (0, "")
+    text = lp_path.read_text()
+    assert len(text.split("Bounds\n")[1].splitlines()) == 59 + 1   # and "End"
+    expected = io.StringIO()
+    bcc.simplex.lp_write_text(bcc.nsprograms.build_ns_joint(w, 2, 2, n=2), expected)
+    assert text == expected.getvalue()
+    square = bcc.channels.tensor_power(w, 2)
+    q = report_from(out)["quantities"]
+    for name, build in (("S_ns", bcc.nsprograms.build_ns_joint),
+                        ("S_ns_sum", bcc.nsprograms.build_ns_sum)):
+        assert q[name] == pytest.approx(lp_solve(build(square, 2, 2)).value, abs=1e-12)
+
+
+def test_cli_exact_tensor_equals_the_exact_dense_square(tmp_path, capsys):
+    w = random_dyadic_channel(2, 2, 2, seed=0)
+    path = write_channel(tmp_path, w)
+    code, out, _ = run_cli(capsys, "tensor", str(path), "--n", "2", "--k1", "2", "--k2", "2",
+                           "--exact", "--which", "ns", "--verify")
+    assert code == 0
+    dense = bcc.nsprograms.solve_ns(bcc.channels.tensor_power(w, 2), 2, 2, exact=True).value
+    assert report_from(out)["quantities"]["S_ns_exact"] == str(dense)
 
 
 def test_cli_approx_requires_deterministic(tmp_path, capsys):

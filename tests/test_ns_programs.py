@@ -1,6 +1,7 @@
 """Non-signaling LP tests: known values, invariants, full-program cross-checks."""
 
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 
 import bcc.nsprograms as nsprograms
 from bcc import (
+    EQ,
+    GE,
+    LE,
     BadParametersError,
     InvariantViolationError,
     SizeCapExceededError,
@@ -24,11 +28,14 @@ from bcc import (
     lp_write_text,
     marginals,
     random_channel,
+    random_deterministic_channel,
     random_dyadic_channel,
     reconstruct_full_box,
     solve_ns,
+    tensor_power,
     validate_channel,
 )
+from oracles import compact_program_by_loops
 
 
 def perfect_channel():
@@ -369,3 +376,130 @@ def test_exact_compact_value_is_rational_of_the_channel(k1, k2, joint, total):
     assert solve_ns(w, k1, k2, "joint", exact=True).value == joint
     assert solve_ns(w, k1, k2, "sum", exact=True).value == total
     assert solve_ns(w, k1, k2, "joint").value == pytest.approx(float(joint), abs=1e-12)
+
+
+# The compact program of a tensor power, over joint types.
+
+def _channel(kind: str, shape=(2, 2, 2), seed: int = 0):
+    if kind == "random":
+        return random_channel(*shape, seed=seed)
+    if kind == "dyadic":
+        return random_dyadic_channel(*shape, seed=seed, denominator=16)
+    return random_deterministic_channel(*shape, seed=seed).to_table()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 3), (5, 4, 4)])
+@pytest.mark.parametrize("objective", ["joint", "sum"])
+def test_one_position_is_the_compact_program_field_by_field(shape, objective):
+    w = random_channel(*shape, seed=7)
+    for k1, k2 in ((2, 2), (2, 3), (3, 1)):
+        want = compact_program_by_loops(w.probs, k1, k2, objective)
+        build = build_ns_joint if objective == "joint" else build_ns_sum
+        model = build(w, k1, k2, n=1)
+        for field, value in want.items():
+            got = getattr(model, field)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), field
+            else:
+                assert got == value, field
+
+
+@pytest.mark.parametrize("n, num_vars, num_rows", [(2, 59, 145), (3, 164, 429)])
+def test_types_program_sizes_on_the_2x2x2_channel(n, num_vars, num_rows):
+    # p, r, r1 and r2 are multisets of n cells of 2, 8, 4 and 4 each.
+    model = build_ns_joint(random_channel(2, 2, 2, seed=0), 2, 2, n=n)
+    assert (model.num_vars, model.num_rows) == (num_vars, num_rows)
+    assert len(set(model.var_names)) == num_vars
+    assert len(set(model.row_names)) == num_rows
+    # A variable is named by its type's sorted sequence of cells.
+    assert model.var_names[:3] == ("p" + "_x0" * n, "p" + "_x0" * (n - 1) + "_x1",
+                                   "p" + "_x0" * (n - 2) + "_x1_x1")
+
+
+@pytest.mark.parametrize("kind", ["random", "dyadic", "deterministic"])
+@pytest.mark.parametrize("k1, k2", [(2, 2), (1, 3), (2, 3)])
+def test_types_value_equals_the_dense_power_at_n_2(kind, k1, k2):
+    for seed in range(2):
+        w = _channel(kind, seed=seed)
+        power = tensor_power(w, 2)
+        for objective, build in (("joint", build_ns_joint), ("sum", build_ns_sum)):
+            dense = build(power, k1, k2)
+            types = solve_ns(w, k1, k2, objective, n=2)
+            assert types.value == pytest.approx(lp_solve(dense).value, abs=1e-12)
+            # The lifted point is feasible for the dense program, at the same value.
+            assert types.r.shape == power.probs.shape
+            x = np.concatenate([types.p, types.r.ravel(), types.r1.ravel(), types.r2.ravel()])
+            assert constraint_violation(dense, x) <= 1e-9
+            assert dense.objective @ x == pytest.approx(types.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, objective, k1, k2", [
+    ("random", "joint", 2, 2), ("random", "sum", 1, 3),
+    ("dyadic", "joint", 2, 3), ("dyadic", "sum", 2, 2),
+    ("deterministic", "joint", 1, 3), ("deterministic", "sum", 2, 3),
+])
+def test_types_value_equals_highs_on_the_dense_power_at_n_3(kind, objective, k1, k2):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    w = _channel(kind, seed=3)
+    dense = (build_ns_joint if objective == "joint" else build_ns_sum)(tensor_power(w, 3), k1, k2)
+    rel = np.asarray(dense.relations)
+    res = linprog(-dense.objective,
+                  A_ub=np.vstack([dense.rows[rel == LE], -dense.rows[rel == GE]]),
+                  b_ub=np.concatenate([dense.rhs[rel == LE], -dense.rhs[rel == GE]]),
+                  A_eq=dense.rows[rel == EQ], b_eq=dense.rhs[rel == EQ],
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    assert solve_ns(w, k1, k2, objective, n=3).value == pytest.approx(-res.fun, abs=1e-9)
+
+
+@pytest.mark.parametrize("k1, k2", [(2, 2), (2, 3)])
+def test_exact_types_value_equals_the_exact_dense_value(k1, k2):
+    # Entries in 16ths: the square's entries are exact in float, so both
+    # programs have the same rational objective.
+    for seed in range(2):
+        w = random_dyadic_channel(2, 2, 2, seed=seed, denominator=16)
+        power = tensor_power(w, 2)
+        for objective in ("joint", "sum"):
+            types = solve_ns(w, k1, k2, objective, exact=True, n=2).value
+            assert isinstance(types, Fraction)
+            assert types == solve_ns(power, k1, k2, objective, exact=True).value
+
+
+def test_exact_types_objective_is_the_product_of_the_entries():
+    w = random_dyadic_channel(2, 2, 2, seed=1, denominator=16)
+    c = nsprograms._compact_objective(nsprograms._to_fraction(w.probs), 2, 3, "joint", 2)
+    model = build_ns_joint(w, 2, 3, n=2)
+    cells = w.probs.ravel()
+    # r_x0_a0_b0_x1_a1_b1: two sequences of that type, each of weight W(000) W(111).
+    j = model.var_names.index("r_x0_a0_b0_x1_a1_b1")
+    assert c[j] == 2 * Fraction(cells[0]) * Fraction(cells[7]) / 6
+
+
+def test_types_program_is_refused_before_its_types_are_listed():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceededError):
+            build_ns_joint(random_channel(2, 2, 2, seed=0), 2, 2, n=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    with pytest.raises(ValidationError):
+        build_ns_sum(random_channel(2, 2, 2, seed=0), 2, 2, n=0)
+
+
+def test_types_of_long_blocks_are_indexed_exactly():
+    # Two cells per position and n = 64: a sorted sequence read in base 2
+    # reaches 2^64 - 1, past int64.  Type j (j inputs 1) is the j-th of each
+    # block, and slack row j relates the four blocks' type j.
+    w = validate_channel(np.full((2, 1, 1), 1.0))
+    n, t = 64, 65
+    model = build_ns_joint(w, 2, 2, n=n)
+    assert model.num_vars == 4 * t
+    norm_p = model.rows[model.row_names.index("norm_p")]
+    assert list(norm_p[:t]) == [float(math.comb(n, j)) for j in range(t)]
+    j = np.arange(t)
+    want = np.zeros((t, 4 * t))
+    want[j, j] = want[j, t + j] = 1.0
+    want[j, 2 * t + j] = want[j, 3 * t + j] = -1.0
+    assert np.array_equal(model.rows[-t:], want)
