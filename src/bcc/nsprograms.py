@@ -475,8 +475,8 @@ def _lift(x: np.ndarray, nx: int, n1: int, n2: int, n: int) -> np.ndarray:
         # most significant; position i of a variable is the base cell of its
         # i-th digits.
         index = np.unravel_index(np.arange(size**n), [s**n for s in shape])
-        seqs = np.stack([np.ravel_multi_index([d // s ** (n - 1 - i) % s for d, s in zip(index, shape)],
-                                              shape) for i in range(n)], axis=-1)
+        digits = [[d // s ** (n - 1 - i) % s for d, s in zip(index, shape)] for i in range(n)]
+        seqs = np.stack([np.ravel_multi_index(d, shape) for d in digits], axis=-1)
         blocks.append(x[start + _type_index(types, seqs, size)])
         start += len(types)
     return np.concatenate(blocks)

@@ -250,8 +250,8 @@ def compact_program_by_loops(probs: np.ndarray, k1: int, k2: int, objective: str
     for other, cut in (("r1", "a"), ("r2", "b")):
         for x, a, b in cells:
             add(f"r_le_{other}_x{x}_a{a}_b{b}",
-                [(f"r_x{x}_a{a}_b{b}", 1.0), (f"{other}_x{x}_{cut}{a if cut == 'a' else b}", -1.0)],
-                LE, 0)
+                [(f"r_x{x}_a{a}_b{b}", 1.0),
+                 (f"{other}_x{x}_{cut}{a if cut == 'a' else b}", -1.0)], LE, 0)
     for block, letter, size in (("r1", "a", n1), ("r2", "b", n2)):
         for x in range(nx):
             for y in range(size):
