@@ -1,18 +1,23 @@
 """Exact small-instance solvers by explicit enumeration.
 
 Joint success, sum success and the densest quotient all run through one
-kernel, _enumerate_decoders.  It is fed a cell table per input: entry
-[s1, s2] is what that input earns in a message cell whose decoders map
-exactly the output subsets s1 and s2 to it.  Each is a product with m1 and
+kernel, _enumerate_decoders.  It is fed every input's cell values: entry
+[x, s1, s2] is what input x earns in a message cell whose decoders map
+exactly the output subsets s1 and s2 to it.  They are products with m1 and
 m2, the 0/1 matrices _members(|Y1|), _members(|Y2|) whose row s marks the
 outputs in subset s: m1 @ W(., .|x) @ m2.T for joint success, the average of
 W1 @ m1.T and W2 @ m2.T for sum success, and (m1 @ adj @ m2.T) > 0 for the
-densest quotient.  A running maximum over inputs gives the best input per
-subset pair.  Renaming the messages of a decoder changes no value, so the
-kernel then scores one decoder per set partition of each output alphabet
-into at most k parts, its restricted-growth string, with k1*k2 lookups per
-pair: sum_{j<=k} S(|Y|, j) decoders per side, S the Stirling numbers of the
-second kind (365 * 122 pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
+densest quotient.  The kernel keeps one table, the running maximum over
+inputs, 8 bytes per subset pair: it computes the values a block of rows at
+a time, for all inputs at once, and reduces each block over the inputs.
+Only the k1 k2 cells of the best decoder pair need their best input; each
+gets the smallest input whose value equals the maximum, from a replay of
+the computation that gave the cell its value.  Renaming the messages of a
+decoder changes no value, so the kernel scores one decoder per set
+partition of each output alphabet into at most k parts, its
+restricted-growth string, with k1*k2 lookups per pair: sum_{j<=k} S(|Y|, j)
+decoders per side, S the Stirling numbers of the second kind (365 * 122
+pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
 The reported candidate count and the enumeration cap stay the number of
 labelled decoder pairs, k1^|Y1| * k2^|Y2|.  The decoder-box solver
 enumerates deterministic encoders instead and solves at most one linear
@@ -48,7 +53,7 @@ by rounding from a solve of another member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -205,101 +210,140 @@ def _best_pair(table: np.ndarray, masks1: np.ndarray,
     return best_val, best_a, best_b
 
 
-def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, cell_tables):
-    """Best decoder pair given one cell table per input, as the module docstring defines.
+_TABLE_BLOCK_CELLS = 1 << 16  # input cell values held at once by _enumerate_decoders
 
-    cell_tables is consumed only after both caps pass, so it should be a
-    generator that builds its membership matrices (_members) on its first
-    step: then nothing of size 2^|Y| exists before the caps are checked.
-    Returns the best total over all decoder pairs, the two decoder assignments
-    (restricted-growth strings), the encoder (best input per message cell)
-    and the number of labelled candidates, k1^n1 * k2^n2.
+
+def _block_shape(inputs: int, n1: int, n2: int) -> tuple[int, int]:
+    """Rows and inputs of one block of about _TABLE_BLOCK_CELLS cell values,
+    and of no more values than the table holds: fresh pages for a larger block
+    cost a small table more than its work (0.5 ms cold at 14x7x6, k = 3).
+
+    The rows are a power of two from 2 to 2^n1, so blocks tile the table and
+    no product has one row (numpy sends that to a vector-matrix routine,
+    whose sums can round otherwise).  Inputs are split only when two rows of
+    all of them exceed the budget.
+    """
+    budget, row_cells = min(_TABLE_BLOCK_CELLS, 1 << (n1 + n2)), 1 << n2
+    rows = min(1 << max(1, (budget // (inputs * row_cells)).bit_length() - 1), 1 << n1)
+    return rows, max(1, min(inputs, budget // (rows * row_cells)))
+
+
+def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: int,
+                        cell_values, scale: float = 1.0):
+    """Best decoder pair given every input's cell values, as the module docstring defines.
+
+    cell_values is called only after both caps pass, so nothing of size
+    2^|Y| exists before them.  It returns values(rows, xs), the cell values
+    of inputs xs on first-side subsets rows, shape (inputs, rows, 2^n2), and
+    replay(s1, s2), every input's values at the cells (s1[i], s2[j]) as
+    values computed them.  The table, scale times the maximum over inputs,
+    is built in blocks (_block_shape): besides it the kernel holds about
+    _TABLE_BLOCK_CELLS values and no input per cell.  Each of the best
+    pair's k1 k2 cells then takes the smallest input whose replayed value,
+    times scale, equals its entry.  Returns the best total, the two decoder
+    assignments (restricted-growth strings), the encoder and the number of
+    labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
     candidates = _check_cap(EnumerationCapExceededError, cap, (k1, n1), (k2, n2))
     _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP, (2, n1 + n2))
 
-    table = np.full((1 << n1, 1 << n2), -np.inf)
-    argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
-    better = np.empty(table.shape, dtype=bool)
-    for x, gx in enumerate(cell_tables):
-        np.greater(gx, table, out=better)  # strict: the smallest input keeps a tie
-        np.copyto(table, gx, where=better)
-        np.copyto(argmax_x, x, where=better)
+    values, replay = cell_values()
+    rows, width = _block_shape(inputs, n1, n2)
+    table = np.empty((1 << n1, 1 << n2))
+    for top in range(0, 1 << n1, rows):
+        out = table[top:top + rows]
+        for x in range(0, inputs, width):
+            block = values(slice(top, top + rows), slice(x, x + width))
+            if x == 0:
+                block.max(axis=0, out=out)
+            else:
+                np.maximum(out, block.max(axis=0), out=out)
+    if scale != 1.0:
+        table *= scale  # rounding is monotone: this is the maximum of the scaled values
 
-    rows, masks = [], []
+    assignments, masks = [], []
     for n, k in ((n1, k1), (n2, k2)):
-        rows.append(_assignment_rows(n, k))
-        masks.append(_part_masks(rows[-1], k))
+        assignments.append(_assignment_rows(n, k))
+        masks.append(_part_masks(assignments[-1], k))
     best_val, a, b = _best_pair(table, *masks)
 
-    encoder = tuple(tuple(int(argmax_x[s1, s2]) for s2 in masks[1][b])
-                    for s1 in masks[0][a])
-    return (best_val, tuple(int(v) for v in rows[0][a]),
-            tuple(int(v) for v in rows[1][b]), encoder, candidates)
+    s1, s2 = masks[0][a], masks[1][b]
+    if inputs == 1:
+        encoder = np.zeros((k1, k2), dtype=np.int64)
+    else:  # argmax takes the first True: the smallest input that reaches the maximum
+        encoder = (scale * replay(s1, s2) == table[s1[:, None], s2]).argmax(axis=0)
+    return (best_val, tuple(int(v) for v in assignments[0][a]),
+            tuple(int(v) for v in assignments[1][b]), tuple(map(tuple, encoder.tolist())),
+            candidates)
 
 
-def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_tables) -> SolveReport:
+def _replay_blocks(values, inputs: int, n1: int, n2: int, s1: np.ndarray,
+                   s2: np.ndarray) -> np.ndarray:
+    """Every input's values at the cells (s1[i], s2[j]), from the calls that
+    built their blocks: a product over other rows can round otherwise."""
+    rows, width = _block_shape(inputs, n1, n2)
+    out = np.empty((inputs, len(s1), len(s2)))
+    tops = s1 - s1 % rows
+    for top in set(tops.tolist()):  # not np.unique, which imports numpy.ma (15-30 ms)
+        at = np.flatnonzero(tops == top)
+        for x in range(0, inputs, width):
+            block = values(slice(top, top + rows), slice(x, x + width))
+            out[x:x + width, at] = block[:, s1[at, None] - top, s2]
+    return out
+
+
+def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_values,
+                scale: float = 1.0) -> SolveReport:
     best_val, dec1, dec2, encoder, candidates = _enumerate_decoders(
-        w.out1_size, w.out2_size, k1, k2, cap, cell_tables)
+        w.out1_size, w.out2_size, k1, k2, cap, w.input_size, cell_values, scale)
     return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), candidates)
 
 
-def _joint_cell_tables(w: ChannelTable):
-    m1, m2 = _members(w.out1_size), _members(w.out2_size)
-    for px in w.probs:
-        yield m1 @ px @ m2.T
+def _joint_cell_values(w: ChannelTable):
+    m1, m2t = _members(w.out1_size), _members(w.out2_size).T
+
+    def values(rows, xs):
+        left = m1[rows] @ w.probs[xs]  # (inputs, rows, |Y2|)
+        return (left.reshape(-1, w.out2_size) @ m2t).reshape(left.shape[0], -1, m2t.shape[1])
+
+    return values, lambda s1, s2: _replay_blocks(values, *w.probs.shape, s1, s2)
 
 
 def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Best deterministic code for joint success, by decoder enumeration."""
-    return _solve_code(w, k1, k2, cap, _joint_cell_tables(w))
+    return _solve_code(w, k1, k2, cap, lambda: _joint_cell_values(w))
 
 
-def _sum_cell_tables(w: ChannelTable):
+def _sum_cell_values(w: ChannelTable):
     g1 = w.probs.sum(axis=2) @ _members(w.out1_size).T  # (|X|, 2^|Y1|)
     g2 = w.probs.sum(axis=1) @ _members(w.out2_size).T
-    for x in range(w.input_size):
-        yield 0.5 * (g1[x][:, None] + g2[x][None, :])
+    # One addition per cell, so any block of cells gives the same values.
+    return (lambda rows, xs: g1[xs, rows, None] + g2[xs, None, :],
+            lambda s1, s2: g1[:, s1, None] + g2[:, None, s2])
 
 
 def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Best deterministic code for sum success, by decoder enumeration."""
-    return _solve_code(w, k1, k2, cap, _sum_cell_tables(w))
+    return _solve_code(w, k1, k2, cap, lambda: _sum_cell_values(w), scale=0.5)
 
 
-def _quotient_cell_table(g: BipartiteGraph):
+def _quotient_cell_values(g: BipartiteGraph):
     adj = np.zeros((g.left_size, g.right_size))
     adj[g.edge_arrays] = 1.0
-    yield ((_members(g.left_size) @ adj @ _members(g.right_size).T) > 0).astype(float)
+    m1, m2t = _members(g.left_size), _members(g.right_size).T
+    return lambda rows, xs: ((m1[rows] @ adj @ m2t) > 0)[None].astype(float), None
 
 
 def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Densest quotient: maximize quotient edges over all partition pairs."""
     best_val, a1, a2, _, candidates = _enumerate_decoders(
-        g.left_size, g.right_size, k1, k2, cap, _quotient_cell_table(g))
+        g.left_size, g.right_size, k1, k2, cap, 1, lambda: _quotient_cell_values(g))
     witness = (Partition(g.left_size, k1, a1), Partition(g.right_size, k2, a2))
     return SolveReport(int(round(best_val)), witness, candidates)
 
 
-def _is_orbit_min(flat: tuple[int, ...], k1: int, k2: int) -> bool:
-    """Whether a row-major k1 x k2 encoder is the smallest of its orbit.
-
-    With the columns fixed, the smallest row permutation of a grid sorts its
-    rows as tuples; with the rows fixed, the smallest column permutation
-    sorts its columns.  So the orbit minimum is the smallest, over the
-    permutations of the shorter side, of the grid with the other side sorted:
-    min(k1!, k2!) sorts instead of k1! k2! permuted grids.  Unsorted rows
-    rule a grid out before any permutation is tried.
-    """
-    rows = [flat[i * k2:(i + 1) * k2] for i in range(k1)]
-    if rows != sorted(rows):
-        return False
-    if k1 <= k2:
-        grids = (zip(*sorted(zip(*s))) for s in permutations(rows))
-    else:
-        grids = (sorted(zip(*t)) for t in permutations(zip(*rows)))
-    return not any(tuple(chain.from_iterable(g)) < flat for g in grids)
+_BOUND_CHUNK_CELLS = 1 << 20   # channel entries gathered at once by _decoder_box_bounds
 
 
 def _orbit_representatives(nx: int, k1: int, k2: int) -> np.ndarray:
@@ -307,14 +351,37 @@ def _orbit_representatives(nx: int, k1: int, k2: int) -> np.ndarray:
 
     One row-major row of k1 k2 inputs per orbit, in the smallest unsigned
     integer type that holds nx - 1, so the array stays small near the
-    enumeration cap.
+    enumeration cap.  An encoder is handled as its rank in lexicographic
+    order, the base-nx number its row-major inputs spell.  With the columns
+    fixed, the smallest row permutation of a grid sorts its rows as tuples;
+    with the rows fixed, the smallest column permutation sorts its columns.
+    So an encoder is the smallest of its orbit when no permutation of the
+    shorter side, with the other side then sorted, ranks lower: min(k1!, k2!)
+    sorts instead of k1! k2! permuted grids.  Encoders with unsorted rows are
+    dropped first, and the ranks go in chunks of _BOUND_CHUNK_CELLS inputs.
     """
-    reps = (flat for flat in product(range(nx), repeat=k1 * k2) if _is_orbit_min(flat, k1, k2))
-    return np.fromiter(chain.from_iterable(reps),
-                       dtype=np.min_scalar_type(nx - 1)).reshape(-1, k1 * k2)
-
-
-_BOUND_CHUNK_CELLS = 1 << 20   # channel entries gathered at once by _decoder_box_bounds
+    kk = k1 * k2
+    place = nx ** np.arange(kk - 1, -1, -1, dtype=np.int64)  # the rank of one unit per input
+    row_place = place[k2 - 1::k2]                            # ... per row, read as one number
+    grid_place = place.reshape(k1, k2) if k1 <= k2 else place.reshape(k1, k2).T
+    line_place = nx ** np.arange(len(grid_place) - 1, -1, -1, dtype=np.int64)[:, None]
+    total, step = nx**kk, max(1, _BOUND_CHUNK_CELLS // kk)
+    reps = []
+    for start in range(0, total, step):
+        rank = np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = rank[:, None] // row_place % nx**k2
+        rank = rank[(rows[:, 1:] >= rows[:, :-1]).all(axis=1)]
+        # Axis 1 is the shorter side, permuted; the lines along axis 2 are sorted.
+        grid = rank[:, None, None] // grid_place % nx
+        for perm in permutations(range(len(grid_place))):
+            permuted = grid[:, perm]
+            order = np.argsort((permuted * line_place).sum(axis=1), axis=1)
+            least = (np.take_along_axis(permuted, order[:, None, :], axis=2)
+                     * grid_place).sum(axis=(1, 2))
+            keep = least >= rank
+            rank, grid = rank[keep], grid[keep]
+        reps.append((rank[:, None] // place % nx).astype(np.min_scalar_type(nx - 1)))
+    return np.concatenate(reps)
 
 
 def _decoder_box_bounds(probs: np.ndarray, reps: np.ndarray, k1: int, k2: int,

@@ -301,6 +301,50 @@ def dqg_bruteforce(g, k1: int, k2: int):
     return best, witness
 
 
+def solve_by_input_tables(source, k1: int, k2: int, objective: str):
+    """solve_joint, solve_sum (objective "sum") or solve_dqg (a graph source)
+    through the decoder-enumeration kernel that keeps one table per input.
+
+    Each input's whole cell table is built in turn and merged into the
+    running maximum, with the best input of every cell remembered as it
+    goes; the same tables, the same candidate scan and the same tie rules
+    as the package's kernel, which keeps no per-cell input.
+    """
+    from bcc.exact import (Code, SolveReport, _assignment_rows, _best_pair, _members,
+                           _part_masks)
+    from bcc.graphs import Partition
+    if objective == "dqg":
+        n1, n2 = source.left_size, source.right_size
+        adj = np.zeros((n1, n2))
+        adj[source.edge_arrays] = 1.0
+        tables = [((_members(n1) @ adj @ _members(n2).T) > 0).astype(float)]
+    elif objective == "joint":
+        n1, n2 = source.out1_size, source.out2_size
+        m1, m2 = _members(n1), _members(n2)
+        tables = (m1 @ px @ m2.T for px in source.probs)
+    else:
+        n1, n2 = source.out1_size, source.out2_size
+        g1 = source.probs.sum(axis=2) @ _members(n1).T
+        g2 = source.probs.sum(axis=1) @ _members(n2).T
+        tables = (0.5 * (g1[x][:, None] + g2[x][None, :]) for x in range(source.input_size))
+    table = np.full((1 << n1, 1 << n2), -np.inf)
+    argmax_x = np.zeros((1 << n1, 1 << n2), dtype=np.int64)
+    for x, gx in enumerate(tables):
+        better = gx > table  # strict: the smallest input keeps a tie
+        table[better] = gx[better]
+        argmax_x[better] = x
+    rows = [_assignment_rows(n1, k1), _assignment_rows(n2, k2)]
+    masks = [_part_masks(rows[0], k1), _part_masks(rows[1], k2)]
+    best_val, a, b = _best_pair(table, *masks)
+    dec1, dec2 = tuple(rows[0][a].tolist()), tuple(rows[1][b].tolist())
+    enumerated = k1**n1 * k2**n2
+    if objective == "dqg":
+        witness = (Partition(n1, k1, dec1), Partition(n2, k2, dec2))
+        return SolveReport(int(round(best_val)), witness, enumerated)
+    encoder = tuple(tuple(int(argmax_x[s1, s2]) for s2 in masks[1][b]) for s1 in masks[0][a])
+    return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), enumerated)
+
+
 def welfare_bruteforce(value_fn, m: int, k1: int) -> float:
     """Optimal welfare by looping over all k1^m bundle assignments."""
     best = -1.0

@@ -44,7 +44,7 @@ from bcc import (
     validate_channel,
 )
 from bcc.channels import DEFAULT_ENTRY_CAP, ChannelTable
-from bcc.exact import _assignment_rows, _decoder_box_bounds, _is_orbit_min
+from bcc.exact import _assignment_rows, _decoder_box_bounds, _orbit_representatives
 from bcc.nsprograms import build_decoder_box_lp
 from bcc.simplex import CHECK_TOL, _to_fraction, lp_solve
 from oracles import (
@@ -573,9 +573,34 @@ def test_negative_caps_are_bad_parameters():
 
 def test_orbit_filter_keeps_the_smallest_of_each_orbit():
     for nx, k1, k2 in ((3, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 1, 3)):
+        expected = []
         for flat in product(range(nx), repeat=k1 * k2):
             grid = tuple(flat[i * k2:(i + 1) * k2] for i in range(k1))
-            assert _is_orbit_min(flat, k1, k2) == (grid == min(orbit(grid)))
+            if grid == min(orbit(grid)):
+                expected.append(flat)
+        assert _orbit_representatives(nx, k1, k2).tolist() == [list(f) for f in expected]
+
+
+@pytest.mark.parametrize("nx, k1, k2", [(3, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 1, 3),
+                                        (5, 2, 2), (4, 2, 3)])
+def test_orbit_representatives_match_orbit_minima(nx, k1, k2):
+    # The same rows, in the same order, in the smallest unsigned type for nx - 1.
+    reps, expected = _orbit_representatives(nx, k1, k2), orbit_minima(nx, k1, k2)
+    assert reps.dtype == np.uint8
+    assert reps.shape == (len(expected), k1 * k2)
+    assert [tuple(map(tuple, r.reshape(k1, k2).tolist())) for r in reps] == expected
+
+
+def test_orbit_representatives_chunks_and_wide_inputs(monkeypatch):
+    # Ranks split over many chunks give the rows of one chunk; 300 inputs
+    # need a uint16 array.
+    whole = _orbit_representatives(4, 2, 2)
+    monkeypatch.setattr(bcc.exact, "_BOUND_CHUNK_CELLS", 4 * 7)
+    assert np.array_equal(_orbit_representatives(4, 2, 2), whole)
+    monkeypatch.undo()
+    wide = _orbit_representatives(300, 1, 2)
+    assert wide.dtype == np.uint16
+    assert wide.tolist() == [[a, b] for a in range(300) for b in range(a, 300)]
 
 
 @pytest.mark.parametrize("nx, k1, k2", [(1, 1, 12), (2, 1, 12), (2, 12, 1)])
