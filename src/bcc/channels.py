@@ -78,6 +78,18 @@ class DeterministicChannel:
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
 
+    @classmethod
+    def _from_checked(cls, input_size: int, out1_size: int, out2_size: int,
+                      pairs: np.ndarray) -> DeterministicChannel:
+        """A channel that keeps pairs, an (input_size, 2) np.intp array whose
+        ranges the caller has checked, made read-only: no copy, no second check."""
+        self = object.__new__(cls)
+        for name, value in (("input_size", input_size), ("out1_size", out1_size),
+                            ("out2_size", out2_size), ("pairs", pairs)):
+            object.__setattr__(self, name, value)
+        pairs.flags.writeable = False
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, DeterministicChannel):
             return NotImplemented

@@ -9,7 +9,8 @@ outputs in subset s: m1 @ W(., .|x) @ m2.T for joint success, the average of
 W1 @ m1.T and W2 @ m2.T for sum success, and (m1 @ adj @ m2.T) > 0 for the
 densest quotient.  The kernel keeps one table, the running maximum over
 inputs, 8 bytes per subset pair: it computes the values a block of rows at
-a time, for all inputs at once, and reduces each block over the inputs.
+a time, for all inputs at once, and reduces each block over the inputs; the
+pair scan then holds about _PAIR_BLOCK_CELLS gathered rows and as many totals.
 Only the k1 k2 cells of the best decoder pair need their best input; each
 gets the smallest input whose value equals the maximum, from a replay of
 the computation that gave the cell its value.  Renaming the messages of a
@@ -183,24 +184,30 @@ def _part_masks(rows: np.ndarray, num_parts: int) -> np.ndarray:
     return masks
 
 
+_PAIR_BLOCK_CELLS = 1 << 14  # gathered table rows, and pair totals, held at once by _best_pair
+
+
 def _best_pair(table: np.ndarray, masks1: np.ndarray,
                masks2: np.ndarray) -> tuple[float, int, int]:
     """Maximize sum of table[masks1[a, i1], masks2[b, i2]] over pairs (a, b).
 
-    Scans a-major so the first maximum is the lexicographically smallest
-    witness; chunking keeps the value grid within memory.
+    Per block of first decoders and part i1, gathers the rows masks1[block, i1]
+    once and adds their column takes masks2[:, i2] into the block's totals, i1
+    outer and i2 inner from zero; rows and totals each hold about
+    _PAIR_BLOCK_CELLS values, or one first decoder's.  Scans a-major, so the
+    first maximum is the lexicographically smallest witness.
     """
     n1c, k1 = masks1.shape
     n2c, k2 = masks2.shape
+    step = max(1, _PAIR_BLOCK_CELLS // max(table.shape[1], n2c))
     best_val, best_a, best_b = -np.inf, -1, -1
-    chunk = max(1, int(5_000_000 // max(n2c, 1)))
-    for a0 in range(0, n1c, chunk):
-        m1 = masks1[a0:a0 + chunk]
-        grid = np.zeros((m1.shape[0], n2c))
+    for a0 in range(0, n1c, step):
+        m1 = masks1[a0:a0 + step]
+        grid = np.zeros((len(m1), n2c))
         for i1 in range(k1):
-            col = m1[:, i1][:, None]
+            rows = table[m1[:, i1]]
             for i2 in range(k2):
-                grid += table[col, masks2[:, i2][None, :]]
+                grid += rows.take(masks2[:, i2], axis=1)
         flat = int(np.argmax(grid))
         val = float(grid.flat[flat])
         if val > best_val:
@@ -237,8 +244,9 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
     of inputs xs on first-side subsets rows, shape (inputs, rows, 2^n2), and
     replay(s1, s2), every input's values at the cells (s1[i], s2[j]) as
     values computed them.  The table, scale times the maximum over inputs,
-    is built in blocks (_block_shape): besides it the kernel holds about
-    _TABLE_BLOCK_CELLS values and no input per cell.  Each of the best
+    is built in blocks (_block_shape): besides it the build holds about
+    _TABLE_BLOCK_CELLS values, the pair scan (_best_pair) about twice
+    _PAIR_BLOCK_CELLS, and neither an input per cell.  Each of the best
     pair's k1 k2 cells then takes the smallest input whose replayed value,
     times scale, equals its entry.  Returns the best total, the two decoder
     assignments (restricted-growth strings), the encoder and the number of
@@ -332,7 +340,8 @@ def _quotient_cell_values(g: BipartiteGraph):
     adj = np.zeros((g.left_size, g.right_size))
     adj[g.edge_arrays] = 1.0
     m1, m2t = _members(g.left_size), _members(g.right_size).T
-    return lambda rows, xs: ((m1[rows] @ adj @ m2t) > 0)[None].astype(float), None
+    # Boolean values, which the table's max(out=...) writes as 0.0 and 1.0.
+    return lambda rows, xs: ((m1[rows] @ adj @ m2t) > 0)[None], None
 
 
 def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:

@@ -87,17 +87,20 @@ def channel_from_dict(doc: dict) -> ChannelTable | DeterministicChannel:
                 break
         else:
             typed = nx
+        head = raw if typed == nx else raw[:typed]
         try:
-            pairs = np.fromiter(chain.from_iterable(raw[:typed]), np.intp, 2 * typed)
+            pairs = np.fromiter(chain.from_iterable(head), np.intp, 2 * typed)
         except OverflowError:   # an integer beyond intp, compared as an object
-            pairs = np.array(raw[:typed], dtype=object)
+            pairs = np.array(head, dtype=object)
         pairs = pairs.reshape(typed, 2)
         bad = ((pairs < 0) | (pairs >= (n1, n2))).any(axis=1)
         if bad.any():   # an earlier bad range comes before a bad type
             raise ValidationError(f"pair at x={int(np.argmax(bad))} outside output alphabets")
         if typed < nx:
             raise ParseError(f"pair at x={typed} must be two integers")
-        return DeterministicChannel(nx, n1, n2, pairs)
+        if pairs.dtype != np.intp:   # in range, yet beyond intp: the constructor refuses it
+            return DeterministicChannel(nx, n1, n2, pairs)
+        return DeterministicChannel._from_checked(nx, n1, n2, pairs)
 
     rows = _require(doc, "rows", list)
     if len(rows) != nx:

@@ -301,17 +301,44 @@ def dqg_bruteforce(g, k1: int, k2: int):
     return best, witness
 
 
+def best_pair_by_grid(table: np.ndarray, masks1: np.ndarray,
+                      masks2: np.ndarray) -> tuple[float, int, int]:
+    """exact._best_pair by 2-D fancy gathers into a grid of up to 5 000 000 pairs.
+
+    Maximizes sum of table[masks1[a, i1], masks2[b, i2]] over pairs (a, b),
+    adding the k1 k2 lookups i1 outer and i2 inner from zero, and scans
+    a-major so the first maximum is the lexicographically smallest witness.
+    """
+    n1c, k1 = masks1.shape
+    n2c, k2 = masks2.shape
+    best_val, best_a, best_b = -np.inf, -1, -1
+    chunk = max(1, int(5_000_000 // max(n2c, 1)))
+    for a0 in range(0, n1c, chunk):
+        m1 = masks1[a0:a0 + chunk]
+        grid = np.zeros((m1.shape[0], n2c))
+        for i1 in range(k1):
+            col = m1[:, i1][:, None]
+            for i2 in range(k2):
+                grid += table[col, masks2[:, i2][None, :]]
+        flat = int(np.argmax(grid))
+        val = float(grid.flat[flat])
+        if val > best_val:
+            best_val = val
+            best_a = a0 + flat // n2c
+            best_b = flat % n2c
+    return best_val, best_a, best_b
+
+
 def solve_by_input_tables(source, k1: int, k2: int, objective: str):
     """solve_joint, solve_sum (objective "sum") or solve_dqg (a graph source)
     through the decoder-enumeration kernel that keeps one table per input.
 
     Each input's whole cell table is built in turn and merged into the
     running maximum, with the best input of every cell remembered as it
-    goes; the same tables, the same candidate scan and the same tie rules
-    as the package's kernel, which keeps no per-cell input.
+    goes; the same tables and tie rules as the package's kernel, which keeps
+    no per-cell input, and the pair scan by grid, best_pair_by_grid.
     """
-    from bcc.exact import (Code, SolveReport, _assignment_rows, _best_pair, _members,
-                           _part_masks)
+    from bcc.exact import Code, SolveReport, _assignment_rows, _members, _part_masks
     from bcc.graphs import Partition
     if objective == "dqg":
         n1, n2 = source.left_size, source.right_size
@@ -335,7 +362,7 @@ def solve_by_input_tables(source, k1: int, k2: int, objective: str):
         argmax_x[better] = x
     rows = [_assignment_rows(n1, k1), _assignment_rows(n2, k2)]
     masks = [_part_masks(rows[0], k1), _part_masks(rows[1], k2)]
-    best_val, a, b = _best_pair(table, *masks)
+    best_val, a, b = best_pair_by_grid(table, *masks)
     dec1, dec2 = tuple(rows[0][a].tolist()), tuple(rows[1][b].tolist())
     enumerated = k1**n1 * k2**n2
     if objective == "dqg":

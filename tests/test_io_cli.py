@@ -236,6 +236,26 @@ def test_a_long_deterministic_doc_names_a_bad_range_before_a_later_bad_type(bad_
             channel_from_dict(doc)
 
 
+def test_a_loaded_deterministic_channel_keeps_one_checked_copy():
+    # The 30 000-pair document of the approx benchmark: the checked array is
+    # the channel's own, with no second copy (about 1.1 MB peak when there was).
+    dc = random_deterministic_channel(30_000, 1000, 1000, seed=[1, 0])
+    doc = channel_to_dict(dc)
+    tracemalloc.start()
+    try:
+        loaded = channel_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == dc
+    assert loaded.pairs.dtype == np.intp and not loaded.pairs.flags.writeable
+    assert peak < 0.8 * 2**20, peak
+    doc = {"format_version": 1, "kind": "deterministic", "num_inputs": 2,
+           "num_outputs1": 10**30, "num_outputs2": 2, "pairs": [[0, 1], [10**25, 0]]}
+    with pytest.raises(ValidationError, match="^output pairs must be integers$"):
+        channel_from_dict(doc)
+
+
 def test_alphabet_label_errors():
     doc = dense_doc()
     doc["alphabets"] = {"x": ["a"], "y1": ["u", "v"], "y2": ["w"]}
