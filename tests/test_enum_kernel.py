@@ -115,6 +115,11 @@ PAIR_SHAPES = [
 ]
 
 
+def pair_masks(n1, k1, n2, k2):
+    return [bcc.exact._part_masks(bcc.exact._assignment_rows(n, k), k)
+            for n, k in ((n1, k1), (n2, k2))]
+
+
 def pair_tables(rng, n1, n2):
     shape = (1 << n1, 1 << n2)
     yield rng.random(shape)                             # totals round
@@ -130,8 +135,7 @@ def test_pair_scan_matches_the_grid_scan(monkeypatch, block_cells):
     monkeypatch.setattr(bcc.exact, "_PAIR_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(7)
     for n1, n2, k1, k2 in PAIR_SHAPES:
-        masks = [bcc.exact._part_masks(bcc.exact._assignment_rows(n, k), k)
-                 for n, k in ((n1, k1), (n2, k2))]
+        masks = pair_masks(n1, k1, n2, k2)
         for table in pair_tables(rng, n1, n2):
             val, a, b = bcc.exact._best_pair(table, *masks)
             ref_val, ref_a, ref_b = best_pair_by_grid(table, *masks)
@@ -182,7 +186,5 @@ def test_pair_scan_memory_is_one_block():
     # A grid of every pair of this 2^10 x 2^9 table at k = (2, 3) would be
     # 512 x 3281 totals, 13 MB, and the gather beside it as much again.
     table = np.random.default_rng(0).random((1 << 10, 1 << 9))
-    masks = [bcc.exact._part_masks(bcc.exact._assignment_rows(n, k), k)
-             for n, k in ((10, 2), (9, 3))]
-    peak = traced_peak(bcc.exact._best_pair, table, *masks)
+    peak = traced_peak(bcc.exact._best_pair, table, *pair_masks(10, 2, 9, 3))
     assert peak < 2**20, peak
