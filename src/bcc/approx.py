@@ -239,11 +239,12 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     greedy only the 1/2 that a plain greedy is guaranteed on a monotone
     submodular welfare (Fisher, Nemhauser and Wolsey, 1978).  Whether this
     greedy reaches 1 - 1/e on capped coverage, as the paper's (1 - 1/e)^2
-    needs, is open (ROADMAP item 7).  With num_samples > 0 the rounding also competes
-    with that many uniform draws, each from its own child of the seed's
-    SeedSequence, so one seed always gives one result.  The reported ratio
-    certificate compares against a degree-based upper bound on the true
-    optimum, never against the heuristic value itself.
+    needs, is open (ROADMAP, "The paper's approximation constant").  With
+    num_samples > 0 the rounding also competes with that many uniform draws,
+    each from its own child of the seed's SeedSequence, so one seed always
+    gives one result.  The reported ratio certificate compares against a
+    degree-based upper bound on the true optimum, never against the
+    heuristic value itself.
     """
     _check_k(k1, k2)
     if num_samples < 0 or seed < 0:

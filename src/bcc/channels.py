@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import BipartiteGraph, _check_cap, distinct_values
+from .graphs import BipartiteGraph, _check_cap, _index_sizes, distinct_values
 
 NORMALIZATION_TOL = 1e-9
 POINT_MASS_TOL = 1e-12
@@ -37,6 +37,7 @@ class ChannelTable:
     probs: np.ndarray
 
     def __post_init__(self):
+        _index_sizes(self, "input_size", "out1_size", "out2_size")
         if self.probs.shape != (self.input_size, self.out1_size, self.out2_size):
             raise DimensionMismatchError(
                 f"table shape {self.probs.shape} does not match declared sizes"
@@ -65,6 +66,7 @@ class DeterministicChannel:
     pairs: np.ndarray
 
     def __post_init__(self):
+        _index_sizes(self, "input_size", "out1_size", "out2_size")
         pairs = np.array(self.pairs)
         if pairs.shape != (self.input_size, 2):
             raise DimensionMismatchError("need one output pair per input")

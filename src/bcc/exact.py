@@ -1,24 +1,24 @@
 """Exact small-instance solvers by explicit enumeration.
 
 Joint success, sum success and the densest quotient all run through one
-kernel, _enumerate_decoders.  It is fed every input's cell values: entry
-[x, s1, s2] is what input x earns in a message cell whose decoders map
-exactly the output subsets s1 and s2 to it.  They are products with m1 and
-m2, the 0/1 matrices _members(|Y1|), _members(|Y2|) whose row s marks the
-outputs in subset s: m1 @ W(., .|x) @ m2.T for joint success, the average of
-W1 @ m1.T and W2 @ m2.T for sum success, and (m1 @ adj @ m2.T) > 0 for the
-densest quotient.  The kernel keeps one table, the running maximum over
-inputs, 8 bytes per subset pair: it computes the values a block of rows at
-a time, for all inputs at once, and reduces each block over the inputs; the
-pair scan then holds about _PAIR_BLOCK_CELLS gathered rows and as many totals.
-Only the k1 k2 cells of the best decoder pair need their best input; each
-gets the smallest input whose value equals the maximum, from a replay of
-the computation that gave the cell its value.  Renaming the messages of a
-decoder changes no value, so the kernel scores one decoder per set
-partition of each output alphabet into at most k parts, its
-restricted-growth string, with k1*k2 lookups per pair: sum_{j<=k} S(|Y|, j)
-decoders per side, S the Stirling numbers of the second kind (365 * 122
-pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
+kernel, _enumerate_decoders.  Each objective gives it one function of every
+input's cell values: entry [x, s1, s2] is what input x earns in a message
+cell whose decoders map exactly the output subsets s1 and s2 to it.  They
+are products with m1 and m2, the 0/1 matrices _members(|Y1|), _members(|Y2|)
+whose row s marks the outputs in subset s: m1 @ W(., .|x) @ m2.T for joint
+success, the average of W1 @ m1.T and W2 @ m2.T for sum success, and
+(m1 @ adj @ m2.T) > 0 for the densest quotient.  The kernel keeps one table,
+the running maximum over inputs, 8 bytes per subset pair: it computes the
+values a block of rows at a time, for all inputs at once, and reduces each
+block over the inputs; the pair scan then holds about _PAIR_BLOCK_CELLS
+gathered rows and as many totals.  Only the k1 k2 cells of the best decoder
+pair need their best input; each gets the smallest input whose value equals
+the maximum, from a replay of the same function on the block that gave the
+cell its value.  Renaming the messages of a decoder changes no value, so
+the kernel scores one decoder per set partition of each output alphabet
+into at most k parts, its restricted-growth string, with k1*k2 lookups per
+pair: sum_{j<=k} S(|Y|, j) decoders per side, S the Stirling numbers of the
+second kind (365 * 122 pairs for |Y| = 7, 6 at k = 3, against 3^7 * 3^6).
 The reported candidate count and the enumeration cap stay the number of
 labelled decoder pairs, k1^|Y1| * k2^|Y2|.  The decoder-box solver
 enumerates deterministic encoders instead and solves at most one linear
@@ -102,12 +102,6 @@ def _check_code(w: ChannelTable | DeterministicChannel, code: Code):
     return enc
 
 
-def _onehot(assignment, num_parts):
-    out = np.zeros((len(assignment), num_parts))
-    out[np.arange(len(assignment)), list(assignment)] = 1.0
-    return out
-
-
 def _decoded(w: DeterministicChannel, enc: np.ndarray, code: Code) -> tuple:
     """Whether receiver 1 decodes i1, and receiver 2 i2, in each message cell."""
     i1, i2 = np.indices((code.k1, code.k2))
@@ -126,8 +120,8 @@ def joint_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
     if isinstance(w, DeterministicChannel):
         ok1, ok2 = _decoded(w, enc, code)
         return float(np.count_nonzero(ok1 & ok2) / (code.k1 * code.k2))
-    d1 = _onehot(code.decoder1, code.k1)
-    d2 = _onehot(code.decoder2, code.k2)
+    d1 = np.eye(code.k1)[list(code.decoder1)]
+    d2 = np.eye(code.k2)[list(code.decoder2)]
     cell = np.einsum("yk,xyz,zl->xkl", d1, w.probs, d2)
     i1, i2 = np.indices((code.k1, code.k2))
     return float(cell[enc, i1, i2].sum() / (code.k1 * code.k2))
@@ -141,8 +135,8 @@ def sum_success(w: ChannelTable | DeterministicChannel, code: Code) -> float:
         ok1, ok2 = _decoded(w, enc, code)
         hits = np.count_nonzero(ok1) + np.count_nonzero(ok2)
         return float(hits / (2 * code.k1 * code.k2))
-    m1 = w.probs.sum(axis=2) @ _onehot(code.decoder1, code.k1)
-    m2 = w.probs.sum(axis=1) @ _onehot(code.decoder2, code.k2)
+    m1 = w.probs.sum(axis=2) @ np.eye(code.k1)[list(code.decoder1)]
+    m2 = w.probs.sum(axis=1) @ np.eye(code.k2)[list(code.decoder2)]
     i1, i2 = np.indices((code.k1, code.k2))
     total = m1[enc, i1].sum() + m2[enc, i2].sum()
     return float(total / (2 * code.k1 * code.k2))
@@ -241,22 +235,21 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
 
     cell_values is called only after both caps pass, so nothing of size
     2^|Y| exists before them.  It returns values(rows, xs), the cell values
-    of inputs xs on first-side subsets rows, shape (inputs, rows, 2^n2), and
-    replay(s1, s2), every input's values at the cells (s1[i], s2[j]) as
-    values computed them.  The table, scale times the maximum over inputs,
-    is built in blocks (_block_shape): besides it the build holds about
-    _TABLE_BLOCK_CELLS values, the pair scan (_best_pair) about twice
-    _PAIR_BLOCK_CELLS, and neither an input per cell.  Each of the best
-    pair's k1 k2 cells then takes the smallest input whose replayed value,
-    times scale, equals its entry.  Returns the best total, the two decoder
-    assignments (restricted-growth strings), the encoder and the number of
-    labelled candidates, k1^n1 * k2^n2.
+    of inputs xs on first-side subsets rows, shape (inputs, rows, 2^n2).  The
+    table, scale times the maximum over inputs, is built in blocks
+    (_block_shape): besides it the build holds about _TABLE_BLOCK_CELLS
+    values, the pair scan (_best_pair) about twice _PAIR_BLOCK_CELLS, and
+    neither an input per cell.  The best pair's k1 k2 cells are then
+    computed again by values, on the blocks that built them, and each takes
+    the smallest input whose value, times scale, equals its entry.  Returns
+    the best total, the two decoder assignments (restricted-growth strings),
+    the encoder and the number of labelled candidates, k1^n1 * k2^n2.
     """
     _check_k(k1, k2)
     candidates = _check_cap(EnumerationCapExceededError, cap, (k1, n1), (k2, n2))
     _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP, (2, n1 + n2))
 
-    values, replay = cell_values()
+    values = cell_values()
     rows, width = _block_shape(inputs, n1, n2)
     table = np.empty((1 << n1, 1 << n2))
     for top in range(0, 1 << n1, rows):
@@ -276,29 +269,21 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
         masks.append(_part_masks(assignments[-1], k))
     best_val, a, b = _best_pair(table, *masks)
 
+    # Replay each cell from the call that built its block: a product over
+    # other rows can round otherwise.
     s1, s2 = masks[0][a], masks[1][b]
-    if inputs == 1:
-        encoder = np.zeros((k1, k2), dtype=np.int64)
-    else:  # argmax takes the first True: the smallest input that reaches the maximum
-        encoder = (scale * replay(s1, s2) == table[s1[:, None], s2]).argmax(axis=0)
-    return (best_val, tuple(int(v) for v in assignments[0][a]),
-            tuple(int(v) for v in assignments[1][b]), tuple(map(tuple, encoder.tolist())),
-            candidates)
-
-
-def _replay_blocks(values, inputs: int, n1: int, n2: int, s1: np.ndarray,
-                   s2: np.ndarray) -> np.ndarray:
-    """Every input's values at the cells (s1[i], s2[j]), from the calls that
-    built their blocks: a product over other rows can round otherwise."""
-    rows, width = _block_shape(inputs, n1, n2)
-    out = np.empty((inputs, len(s1), len(s2)))
+    cells = np.empty((inputs, k1, k2))
     tops = s1 - s1 % rows
     for top in set(tops.tolist()):  # not np.unique, which imports numpy.ma (15-30 ms)
         at = np.flatnonzero(tops == top)
         for x in range(0, inputs, width):
             block = values(slice(top, top + rows), slice(x, x + width))
-            out[x:x + width, at] = block[:, s1[at, None] - top, s2]
-    return out
+            cells[x:x + width, at] = block[:, s1[at, None] - top, s2]
+    # argmax takes the first True: the smallest input that reaches the maximum
+    encoder = (scale * cells == table[s1[:, None], s2]).argmax(axis=0)
+    return (best_val, tuple(int(v) for v in assignments[0][a]),
+            tuple(int(v) for v in assignments[1][b]), tuple(map(tuple, encoder.tolist())),
+            candidates)
 
 
 def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_values,
@@ -315,7 +300,7 @@ def _joint_cell_values(w: ChannelTable):
         left = m1[rows] @ w.probs[xs]  # (inputs, rows, |Y2|)
         return (left.reshape(-1, w.out2_size) @ m2t).reshape(left.shape[0], -1, m2t.shape[1])
 
-    return values, lambda s1, s2: _replay_blocks(values, *w.probs.shape, s1, s2)
+    return values
 
 
 def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
@@ -326,9 +311,7 @@ def solve_joint(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) 
 def _sum_cell_values(w: ChannelTable):
     g1 = w.probs.sum(axis=2) @ _members(w.out1_size).T  # (|X|, 2^|Y1|)
     g2 = w.probs.sum(axis=1) @ _members(w.out2_size).T
-    # One addition per cell, so any block of cells gives the same values.
-    return (lambda rows, xs: g1[xs, rows, None] + g2[xs, None, :],
-            lambda s1, s2: g1[:, s1, None] + g2[:, None, s2])
+    return lambda rows, xs: g1[xs, rows, None] + g2[xs, None, :]
 
 
 def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
@@ -341,7 +324,7 @@ def _quotient_cell_values(g: BipartiteGraph):
     adj[g.edge_arrays] = 1.0
     m1, m2t = _members(g.left_size), _members(g.right_size).T
     # Boolean values, which the table's max(out=...) writes as 0.0 and 1.0.
-    return lambda rows, xs: ((m1[rows] @ adj @ m2t) > 0)[None], None
+    return lambda rows, xs: ((m1[rows] @ adj @ m2t) > 0)[None]
 
 
 def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,16 @@ def _check_k(k1: int, k2: int) -> None:
         raise BadParametersError("message counts must be >= 1")
 
 
+def _index_sizes(obj, *names: str) -> None:
+    """Store each named size of a frozen dataclass as a Python int, so a numpy
+    integer works as one; anything that is not an integer is a ValidationError."""
+    for name in names:
+        try:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer") from None
+
+
 def distinct_values(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array.  Sorting and masking repeats is
     about 20x faster than np.unique, which hashes first (numpy 2.4)."""
@@ -83,6 +94,7 @@ class BipartiteGraph:
     edge_arrays: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
+        _index_sizes(self, "left_size", "right_size")
         if self.left_size < 0 or self.right_size < 0:
             raise ValidationError("vertex counts must be nonnegative")
         U, V = (np.array(a, dtype=np.intp) for a in self.edge_arrays)

@@ -21,7 +21,10 @@ from bcc.errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from bcc.generators import random_channel, random_deterministic_channel
+from bcc.exact import solve_dqg, solve_joint, solve_sum
+from bcc.files import load_channel, save_channel
+from bcc.generators import random_bipartite_graph, random_channel, random_deterministic_channel
+from bcc.graphs import BipartiteGraph
 
 
 def test_validate_accepts_and_freezes():
@@ -216,3 +219,37 @@ def test_deterministic_channel_validates_pairs():
         DeterministicChannel(2, 2, 2, ((0, 0),))
     with pytest.raises(ValidationError, match="integers"):
         DeterministicChannel(1, 2, 2, ((0.5, 1),))
+
+
+def test_numpy_integer_sizes_work_as_python_ints(tmp_path):
+    dc = random_deterministic_channel(np.int64(6), np.int64(3), 3, seed=0)
+    g = random_bipartite_graph(np.int64(5), np.int64(4), 0.5, seed=0)
+    table = ChannelTable(*map(np.int64, dc.to_table().probs.shape), dc.to_table().probs)
+    sizes = (dc.input_size, dc.out1_size, g.left_size, g.right_size, table.input_size)
+    assert all(type(v) is int for v in sizes)
+    plain_dc = random_deterministic_channel(6, 3, 3, seed=0)
+    plain_g = random_bipartite_graph(5, 4, 0.5, seed=0)
+    for k1, k2 in ((2, 2), (3, 2)):
+        for solve in (solve_joint, solve_sum):
+            expected = solve(plain_dc.to_table(), k1, k2)
+            assert solve(dc.to_table(), k1, k2) == expected
+            assert solve(table, k1, k2) == expected
+        assert solve_dqg(g, k1, k2) == solve_dqg(plain_g, k1, k2)
+        assert solve_dqg(channel_graph(dc), k1, k2) == solve_dqg(channel_graph(plain_dc), k1, k2)
+    for channel, plain in ((dc, plain_dc), (table, plain_dc.to_table())):
+        path = tmp_path / "channel.json"
+        save_channel(channel, path)
+        text = path.read_text()
+        save_channel(plain, path)
+        assert text == path.read_text()
+        loaded = load_channel(path)
+        assert (loaded.input_size, loaded.out1_size, loaded.out2_size) == (6, 3, 3)
+
+
+def test_sizes_that_are_not_integers_are_refused():
+    with pytest.raises(ValidationError, match="input_size"):
+        ChannelTable(1.0, 1, 1, np.ones((1, 1, 1)))
+    with pytest.raises(ValidationError, match="out2_size"):
+        DeterministicChannel(1, 1, "1", ((0, 0),))
+    with pytest.raises(ValidationError, match="right_size"):
+        BipartiteGraph(1, 1.5, ((), ()))

@@ -74,13 +74,18 @@ def test_kernel_matches_per_input_tables(seed):
 
 def test_kernel_matches_per_input_tables_in_small_blocks(monkeypatch):
     # Blocks of two rows and of a few inputs: the table and every replay run
-    # over many blocks and input chunks.
+    # over many blocks and input chunks, a graph's one input included.
     monkeypatch.setattr(bcc.exact, "_TABLE_BLOCK_CELLS", 1 << 9)
     assert bcc.exact._block_shape(18, 9, 9) == (2, 1)
     assert bcc.exact._block_shape(18, 4, 4) == (2, 8)
+    assert bcc.exact._block_shape(1, 8, 8) == (2, 1)
     for name, w in channels(2):
         for k1, k2 in KS[:2]:
             assert_matches_reference(name, w, k1, k2)
+    for seed in range(4):
+        for left, right, k1, k2 in ((5, 6, 2, 3), (7, 4, 3, 2), (8, 8, 2, 2), (6, 5, 4, 4)):
+            g = random_bipartite_graph(left, right, 0.2 + 0.1 * seed, seed=seed)
+            assert same_report(solve_dqg(g, k1, k2), solve_by_input_tables(g, k1, k2, "dqg"))
 
 
 def test_kernel_matches_per_input_tables_on_golden_specs():
