@@ -38,6 +38,8 @@ _GROUP_CELLS = 1024
 
 @dataclass
 class ApproxResult:
+    """Two partitions, their quotient edge count and its certified upper bound."""
+
     p1: Partition
     p2: Partition
     value: int
@@ -181,7 +183,7 @@ def greedy_welfare(g: BipartiteGraph, k1: int, k2: int) -> Partition:
     one by one; every earlier step raises the welfare, so there are at most
     k1 k2 of them.
     """
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     n = g.right_size
     U, V = g.edge_arrays
     # Edges U[i], V[i] are sorted by left end: V[out_start[u]:out_start[u + 1]]
@@ -246,7 +248,7 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     degree-based upper bound on the true optimum, never against the
     heuristic value itself.
     """
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     if num_samples < 0 or seed < 0:
         raise BadParametersError("num_samples and seed must be >= 0")
 

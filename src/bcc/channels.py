@@ -27,7 +27,7 @@ POINT_MASS_TOL = 1e-12
 DEFAULT_ENTRY_CAP = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelTable:
     """Dense channel table, entries probs[x, y1, y2], rows normalized."""
 
@@ -44,7 +44,7 @@ class ChannelTable:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalTable:
     """Single-receiver view, entries probs[x, y]."""
 

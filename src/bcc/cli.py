@@ -20,8 +20,9 @@ import their module on the first call.  So `bcc solve --which ns` never
 loads the enumeration, approximation or hardness code, and `bcc solve
 --which joint sum`, `bcc approx` and `bcc hardness` never load the linear
 programs or the simplex.  The defaults the parser shows for those modules
-live in graphs.  The program entry, bcc.__main__.run, freezes the garbage
-collector and then calls main; main itself does not.
+live in graphs.  The program entry, bcc.__main__.run_and_exit, freezes the
+garbage collector, calls main and ends the process without the
+interpreter's teardown; main itself does neither.
 
 Importing this module loads numpy with one OpenBLAS thread, unless numpy is
 already loaded or the caller set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or

@@ -54,6 +54,7 @@ by rounding from a solve of another member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -82,6 +83,8 @@ class Code:
 
 @dataclass
 class SolveReport:
+    """An optimum, its witness and the number of labelled candidates it stands for."""
+
     value: float
     witness: object | None
     enumerated: int
@@ -178,6 +181,17 @@ def _part_masks(rows: np.ndarray, num_parts: int) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=2)
+def _decoders(num_items: int, num_parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """_assignment_rows and their _part_masks, read-only and built once for
+    each of the last two (num_items, num_parts): one solve asks for at most
+    two, and a run of joint, sum and the densest quotient for the same two."""
+    rows = _assignment_rows(num_items, num_parts)
+    masks = _part_masks(rows, num_parts)
+    rows.flags.writeable = masks.flags.writeable = False
+    return rows, masks
+
+
 _PAIR_BLOCK_CELLS = 1 << 14  # gathered table rows, and pair totals, held at once by _best_pair
 
 
@@ -245,7 +259,6 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
     the best total, the two decoder assignments (restricted-growth strings),
     the encoder and the number of labelled candidates, k1^n1 * k2^n2.
     """
-    _check_k(k1, k2)
     candidates = _check_cap(EnumerationCapExceededError, cap, (k1, n1), (k2, n2))
     _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP, (2, n1 + n2))
 
@@ -263,15 +276,12 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
     if scale != 1.0:
         table *= scale  # rounding is monotone: this is the maximum of the scaled values
 
-    assignments, masks = [], []
-    for n, k in ((n1, k1), (n2, k2)):
-        assignments.append(_assignment_rows(n, k))
-        masks.append(_part_masks(assignments[-1], k))
-    best_val, a, b = _best_pair(table, *masks)
+    (assign1, masks1), (assign2, masks2) = _decoders(n1, k1), _decoders(n2, k2)
+    best_val, a, b = _best_pair(table, masks1, masks2)
 
     # Replay each cell from the call that built its block: a product over
     # other rows can round otherwise.
-    s1, s2 = masks[0][a], masks[1][b]
+    s1, s2 = masks1[a], masks2[b]
     cells = np.empty((inputs, k1, k2))
     tops = s1 - s1 % rows
     for top in set(tops.tolist()):  # not np.unique, which imports numpy.ma (15-30 ms)
@@ -281,13 +291,13 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
             cells[x:x + width, at] = block[:, s1[at, None] - top, s2]
     # argmax takes the first True: the smallest input that reaches the maximum
     encoder = (scale * cells == table[s1[:, None], s2]).argmax(axis=0)
-    return (best_val, tuple(int(v) for v in assignments[0][a]),
-            tuple(int(v) for v in assignments[1][b]), tuple(map(tuple, encoder.tolist())),
-            candidates)
+    return (best_val, tuple(assign1[a].tolist()), tuple(assign2[b].tolist()),
+            tuple(map(tuple, encoder.tolist())), candidates)
 
 
 def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_values,
                 scale: float = 1.0) -> SolveReport:
+    k1, k2 = _check_k(k1, k2)
     best_val, dec1, dec2, encoder, candidates = _enumerate_decoders(
         w.out1_size, w.out2_size, k1, k2, cap, w.input_size, cell_values, scale)
     return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), candidates)
@@ -329,6 +339,7 @@ def _quotient_cell_values(g: BipartiteGraph):
 
 def solve_dqg(g: BipartiteGraph, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Densest quotient: maximize quotient edges over all partition pairs."""
+    k1, k2 = _check_k(k1, k2)
     best_val, a1, a2, _, candidates = _enumerate_decoders(
         g.left_size, g.right_size, k1, k2, cap, 1, lambda: _quotient_cell_values(g))
     witness = (Partition(g.left_size, k1, a1), Partition(g.right_size, k2, a2))
@@ -448,7 +459,7 @@ def solve_ns_dec(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     from .nsprograms import _decoder_box_objective
     from .simplex import CHECK_TOL, _to_fraction
 
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     nx = w.input_size
     candidates = _check_cap(EnumerationCapExceededError, cap, (nx, k1 * k2))
 

@@ -54,10 +54,16 @@ def _check_cap(error, cap: int, *powers) -> int:
     raise error(" * ".join(f"{b}**{e}" for b, e in powers), cap)
 
 
-def _check_k(k1: int, k2: int) -> None:
-    """Refuse message counts below one."""
+def _check_k(k1: int, k2: int) -> tuple[int, int]:
+    """The message counts as Python ints, so a numpy integer works as one;
+    a count that is not an integer, or below one, is BadParametersError."""
+    try:
+        k1, k2 = operator.index(k1), operator.index(k2)
+    except TypeError:
+        raise BadParametersError("message counts must be integers") from None
     if k1 < 1 or k2 < 1:
         raise BadParametersError("message counts must be >= 1")
+    return k1, k2
 
 
 def _index_sizes(obj, *names: str) -> None:

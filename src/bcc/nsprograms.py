@@ -173,7 +173,7 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str, n: int = 1
     """The compact program of the n-th tensor power of w with one variable
     per joint type; the module docstring gives its rows.  The types are
     listed only once _assemble has checked the entry cap on their counts."""
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     if n < 1:
         raise ValidationError("tensor power needs n >= 1")
     sizes = {"x": w.input_size, "a": w.out1_size, "b": w.out2_size}
@@ -291,7 +291,7 @@ def build_ns_full(w: ChannelTable, k1: int, k2: int, objective: str = "joint",
     matrix is allocated, and meant for cross-checking on tiny instances.
     Variables are laid out row-major over (x, j1, j2, i1, i2, y1, y2).
     """
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     shape = (nx, k1, k2, k1, k2, n1, n2)
     n = _check_cap(SizeCapExceededError, cap, (math.prod(shape), 1))
@@ -340,7 +340,7 @@ def build_decoder_box_lp(w: ChannelTable, encoder, k1: int, k2: int,
     The box may correlate the two decoders but must not signal: the j1
     marginal cannot depend on y2 and the j2 marginal cannot depend on y1.
     """
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     enc = np.asarray(encoder, dtype=int)
     if enc.shape != (k1, k2):
@@ -386,7 +386,7 @@ def _decoder_box_objective(sent: np.ndarray, objective: str) -> np.ndarray:
     return c
 
 
-@dataclass
+@dataclass(eq=False)
 class NsSolution:
     """Compact solution blocks reshaped to their natural array shapes."""
 
@@ -405,7 +405,7 @@ def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
     The value is the solution's own, so an exact solve keeps its Fraction;
     a bare assignment vector gets its float value recomputed.
     """
-    _check_k(k1, k2)
+    k1, k2 = _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     shapes = [(nx,), (nx, n1, n2), (nx, n1), (nx, n2)]
     ends = np.cumsum([0, *map(math.prod, shapes)])

@@ -64,6 +64,8 @@ def _margin(relation: str, slack: float) -> float:
 
 @dataclass
 class Report:
+    """One command's canonical JSON report: inputs, results, checks and provenance."""
+
     command: str
     inputs: dict = field(default_factory=dict)
     quantities: dict = field(default_factory=dict)

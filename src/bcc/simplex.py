@@ -67,7 +67,7 @@ CERT_DENOMINATOR = 10**6
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class LpModel:
     """max objective . x  subject to  rows[i] . x (rel_i) rhs[i],  x >= 0.
 
@@ -102,7 +102,7 @@ class LpModel:
         return self.rows.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class LpSolution:
     """An optimum, its vertex, the pivots taken and the final basis.
 
@@ -144,7 +144,7 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     return gaps.max(initial=worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FractionRows:
     """A model's constraint nonzeros, row-major, and its right-hand side, in
     Fractions converted exactly from their floats."""
@@ -323,7 +323,7 @@ class _ExactTableau(_Tableau):
         return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Phase1:
     """Where phase 1 leaves a model: a feasible basis of its constraints.
 

@@ -193,3 +193,25 @@ def test_pair_scan_memory_is_one_block():
     table = np.random.default_rng(0).random((1 << 10, 1 << 9))
     peak = traced_peak(bcc.exact._best_pair, table, *pair_masks(10, 2, 9, 3))
     assert peak < 2**20, peak
+
+
+def test_decoder_masks_are_built_once_per_size_and_read_only():
+    bcc.exact._decoders.cache_clear()
+    for n, k in ((7, 3), (6, 3), (7, 3), (5, 2)):
+        rows, masks = bcc.exact._decoders(n, k)
+        assert not rows.flags.writeable and not masks.flags.writeable
+        fresh = bcc.exact._assignment_rows(n, k)
+        np.testing.assert_array_equal(rows, fresh)
+        np.testing.assert_array_equal(masks, bcc.exact._part_masks(fresh, k))
+        assert bcc.exact._decoders(n, k)[1] is masks
+    info = bcc.exact._decoders.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 3, 2)
+
+
+def test_joint_sum_and_quotient_share_one_build_of_the_masks():
+    dc = random_deterministic_channel(14, 7, 6, seed=0)
+    w, g = dc.to_table(), channel_graph(dc)
+    bcc.exact._decoders.cache_clear()
+    for solve, source in ((solve_joint, w), (solve_sum, w), (solve_dqg, g)):
+        solve(source, 3, 3)
+    assert bcc.exact._decoders.cache_info().misses == 2

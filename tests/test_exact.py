@@ -1,6 +1,8 @@
 """Exact solver tests against definition-level and brute-force oracles."""
 
+import dataclasses
 import importlib
+import json
 import math
 import time
 import tracemalloc
@@ -20,6 +22,7 @@ from bcc import (
     EnumerationCapExceededError,
     Partition,
     SizeCapExceededError,
+    approximate_dqg,
     build_instance,
     build_ns_full,
     channel_graph,
@@ -275,6 +278,27 @@ def test_message_counts_below_one_rejected():
             with pytest.raises(BadParametersError):
                 solve(w, k1, k2)
         with pytest.raises(BadParametersError):
+            solve_dqg(g, k1, k2)
+
+
+def test_numpy_integer_message_counts_give_python_results():
+    w = random_channel(3, 3, 3, seed=0)
+    g = channel_graph(random_deterministic_channel(6, 3, 3, seed=0))
+    k = np.int64(2)
+    for solve in (solve_joint, solve_sum):
+        rep, want = solve(w, k, k), solve(w, 2, 2)
+        assert type(rep.value) is float and rep == want
+        assert type(rep.witness.k1) is int and type(rep.witness.k2) is int
+        json.dumps(dataclasses.asdict(rep.witness))
+    rep = solve_dqg(g, k, k)
+    assert rep == solve_dqg(g, 2, 2)
+    assert all(type(p.num_parts) is int for p in rep.witness)
+    assert approximate_dqg(g, k, k) == approximate_dqg(g, 2, 2)
+    for k1, k2 in ((2.0, 2), (2, "2"), (2, None)):
+        for solve in (solve_joint, solve_sum, solve_ns_dec):
+            with pytest.raises(BadParametersError, match="integers"):
+                solve(w, k1, k2)
+        with pytest.raises(BadParametersError, match="integers"):
             solve_dqg(g, k1, k2)
 
 

@@ -3,9 +3,14 @@
 `import bcc` loads no submodule, a `bcc` process loads only the solvers its
 command runs, the public names are those of the eager package before it,
 and `python -m bcc` behaves as cli.main, with the collector frozen and
-numpy loaded with one BLAS thread unless the caller chose a count.
+numpy loaded with one BLAS thread unless the caller chose a count.  The
+entry ends the process without the interpreter's teardown, and its exit
+codes, output and files stay those of an ordinary exit.  Records with array
+fields compare and hash by identity.
 """
 
+import dataclasses
+import fcntl
 import gc
 import importlib
 import json
@@ -19,8 +24,9 @@ import pytest
 
 import bcc
 import bcc.cli
-from bcc import (random_channel, random_deterministic_channel, random_dyadic_channel,
-                 save_channel)
+from bcc import (ChannelTable, LpModel, LpSolution, MarginalTable, NsSolution,
+                 build_ns_joint, extract_ns_solution, lp_solve, marginals, random_channel,
+                 random_deterministic_channel, random_dyadic_channel, save_channel)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(bcc.__file__).parents[1])   # the package this suite imported
@@ -62,13 +68,20 @@ EXPORTED = [
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def child_env(**env) -> dict:
+    """The caller's variables without its BLAS thread settings, and without
+    PYTHONUNBUFFERED, so that the report waits in stdout's buffer until the
+    entry flushes it; then the given variables."""
+    drop = {*BLAS_THREAD_VARS, "PYTHONUNBUFFERED"}
+    return {**{k: v for k, v in os.environ.items() if k not in drop},
+            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+            **env}
+
+
 def python(*args, **env):
-    """A fresh interpreter on this suite's bcc, run with the given variables
-    and none of the caller's BLAS thread settings."""
-    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS},
-           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
-           **env}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    """A fresh interpreter on this suite's bcc, run with child_env(**env)."""
+    return subprocess.run([sys.executable, *args], capture_output=True, env=child_env(**env),
+                          timeout=120)
 
 
 @pytest.fixture
@@ -207,6 +220,134 @@ def test_python_m_bcc_exit_codes(channel, tmp_path):
                   "--which", "joint", "sum", "--verify", "--check-tol=-1")
     assert proc.returncode == 4
     assert b"check failed:" in proc.stderr and json.loads(proc.stdout)["checks"]
+
+
+ORDINARY_EXIT = "import sys; from bcc.__main__ import run; sys.exit(run())"
+"""The program entry with the interpreter's own exit, to compare against."""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "{det_channel}", "--k1", "2", "--k2", "2", "--which", "joint", "sum",
+      "--verify"], 0),
+    (["solve", "{missing}", "--k1", "2", "--k2", "2"], 2),
+    (["solve", "{channel}", "--k1", "2"], 2),
+    (["tensor", "{channel}", "--n", "5000", "--k1", "2", "--k2", "2"], 3),
+    (["solve", "{channel}", "--k1", "2", "--k2", "2", "--which", "joint", "sum",
+      "--verify", "--check-tol=-1"], 4),
+], ids=["ok", "missing-file", "usage", "over-cap", "failed-check"])
+def test_python_m_bcc_matches_main_on_every_exit_code(channel, det_channel, tmp_path,
+                                                      capsysbinary, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")   # the parser wraps its usage text to this width
+    argv = [arg.format(channel=channel, det_channel=det_channel,
+                       missing=tmp_path / "missing.json") for arg in argv]
+    try:
+        got = bcc.cli.main(argv)
+    except SystemExit as exc:   # the parser's usage error
+        got = exc.code
+    out, err = capsysbinary.readouterr()
+    assert got == code
+    proc = python("-m", "bcc", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_the_entry_writes_every_output_file_in_full(channel, tmp_path):
+    commands = [
+        ["solve", str(channel), "--k1", "2", "--k2", "2", "--which", "ns", "ns-sum",
+         "--out", "{dir}/solve.json", "--lp-export", "{dir}/ns.lp"],
+        ["hardness", "--k1", "3", "--budget", "40", "--out", "{dir}/hardness.json",
+         "--log", "{dir}/queries.jsonl"],
+    ]
+    for side in ("main", "entry"):
+        (tmp_path / side).mkdir()
+    for argv in commands:
+        assert bcc.cli.main([arg.format(dir=tmp_path / "main") for arg in argv]) == 0
+        proc = python("-m", "bcc", *[arg.format(dir=tmp_path / "entry") for arg in argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    names = sorted(path.name for path in (tmp_path / "main").iterdir())
+    assert names == ["hardness.json", "ns.lp", "queries.jsonl", "solve.json"]
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+def into_closed_pipe(args, read_first: bool) -> tuple[int, bytes]:
+    """Exit code and stderr of a fresh interpreter whose stdout is a pipe of
+    one page, closed at once or after one byte of it was read."""
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    if not read_first:
+        os.close(r)
+    proc = subprocess.Popen([sys.executable, *args], stdout=w, stderr=subprocess.PIPE,
+                            env=child_env())
+    os.close(w)
+    if read_first:
+        assert len(os.read(r, 1)) == 1
+        os.close(r)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, err
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizes")
+@pytest.mark.parametrize("shape, read_first", [
+    ((6, 3, 3), False), ((300, 100, 100), False), ((300, 100, 100), True),
+], ids=["small-closed", "large-closed", "large-closed-after-one-byte"])
+def test_a_closed_stdout_exits_as_an_ordinary_exit_would(tmp_path, shape, read_first):
+    # The reports, 1.6 and 5.5 KB, wait in stdout's buffer until main
+    # returns; the large one is more than the pipe holds, so its failed
+    # flush drops what it could not write.
+    path = tmp_path / "channel.json"
+    save_channel(random_deterministic_channel(*shape, seed=0), path)
+    argv = ["approx", str(path), "--k1", "4", "--k2", "4", "--verify", "--check-tol=-1"]
+    code, err = into_closed_pipe(["-m", "bcc", *argv], read_first)
+    assert (code, err) == into_closed_pipe(["-c", ORDINARY_EXIT, *argv], read_first)
+    assert code == 120   # CPython's status for a failed flush at exit
+    assert err.startswith(b"check failed: value_within_bound")
+    assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+EXIT_HOOKS = ("import atexit, sys, threading; before = atexit._ncallbacks(); "
+              "from bcc.__main__ import run; code = run(); "
+              "print(code, atexit._ncallbacks() - before, threading.active_count(), "
+              "file=sys.stderr)")
+"""Exit code, atexit callbacks added and Python threads left after run()."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{det_channel}", "--which", "joint", "sum", "--verify"],
+    ["approx", "{det_channel}", "--verify"],
+    ["solve", "{dense}", "--which", "all", "--verify"],
+    ["tensor", "{dense}", "--n", "2", "--which", "joint", "sum", "ns", "ns-sum", "--verify"],
+    ["solve", "{channel}", "--which", "ns", "--exact", "--verify"],
+    ["solve", "{channel}", "--which", "ns-sum", "--exact", "--verify"],
+], ids=["det-solve", "det-approx", "dense-all", "dense-tensor", "exact-ns", "exact-ns-sum"])
+def test_the_benchmark_commands_leave_nothing_for_the_exit_to_run(channel, det_channel,
+                                                                  tmp_path, argv):
+    dense = tmp_path / "dense.json"
+    save_channel(random_channel(2, 2, 2, seed=0), dense)
+    argv = [arg.format(channel=channel, det_channel=det_channel, dense=dense) for arg in argv]
+    proc = python("-c", EXIT_HOOKS, *argv, "--k1", "2", "--k2", "2",
+                  "--out", str(tmp_path / "report.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"0 0 1\n")
+
+
+def records():
+    """One of each record with an array field, and a twin equal field by field."""
+    w = random_channel(2, 2, 2, seed=0)
+    model = build_ns_joint(w, 2, 2)
+    solution = lp_solve(model)
+    for record in (w, marginals(w)[0], model, solution, extract_ns_solution(w, 2, 2, solution)):
+        yield record, dataclasses.replace(record)
+
+
+def test_records_with_array_fields_compare_and_hash_by_identity():
+    kinds = []
+    for record, twin in records():
+        kinds.append(type(record))
+        assert record == record and record != twin and not record == twin
+        assert hash(record) == hash(record) and len({record, twin}) == 2
+        fields = dataclasses.asdict(record)
+        assert list(fields) == [f.name for f in dataclasses.fields(record)]
+        assert list(dataclasses.asdict(twin)) == list(fields)
+    assert kinds == [ChannelTable, MarginalTable, LpModel, LpSolution, NsSolution]
 
 
 def test_the_entry_freezes_the_imports_before_main(channel, tmp_path):
