@@ -45,7 +45,7 @@ def _flush_std_files() -> bool:
     """
     ok = True
     for stream in (sys.stdout, sys.stderr):
-        if stream is None or getattr(stream, "closed", False):
+        if stream is None:   # its descriptor was closed when the process started
             continue
         try:
             stream.flush()

@@ -10,7 +10,6 @@ fields compare and hash by identity.
 """
 
 import dataclasses
-import fcntl
 import gc
 import importlib
 import json
@@ -21,6 +20,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import fcntl
+except ImportError:   # not on Windows
+    fcntl = None
 
 import bcc
 import bcc.cli
@@ -302,6 +306,23 @@ def test_a_closed_stdout_exits_as_an_ordinary_exit_would(tmp_path, shape, read_f
     assert code == 120   # CPython's status for a failed flush at exit
     assert err.startswith(b"check failed: value_within_bound")
     assert err.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes descriptor 1 before the exec")
+def test_the_entry_runs_with_stdout_closed_from_the_start(det_channel, tmp_path):
+    # With descriptor 1 closed at start, sys.stdout is None: neither exit
+    # flushes it.
+    argv = ["solve", str(det_channel), "--k1", "2", "--k2", "2", "--which", "joint", "sum",
+            "--verify", "--check-tol=-1"]
+    runs = []
+    for i, entry in enumerate((["-m", "bcc"], ["-c", ORDINARY_EXIT])):
+        out = tmp_path / f"{i}.json"
+        proc = subprocess.run([sys.executable, *entry, *argv, "--out", str(out)],
+                              stderr=subprocess.PIPE, env=child_env(), timeout=120,
+                              preexec_fn=lambda: os.close(1))
+        runs.append((proc.returncode, proc.stderr, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 4 and runs[0][1].startswith(b"check failed: ")
 
 
 EXIT_HOOKS = ("import atexit, sys, threading; before = atexit._ncallbacks(); "
