@@ -66,6 +66,18 @@ def _check_k(k1: int, k2: int) -> tuple[int, int]:
     return k1, k2
 
 
+def _check_count(n, name: str) -> int:
+    """The count n as a Python int, so a numpy integer works as one; a count
+    that is not an integer, or below one, is BadParametersError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadParametersError(f"{name} must be an integer") from None
+    if n < 1:
+        raise BadParametersError(f"{name} must be >= 1")
+    return n
+
+
 def _index_sizes(obj, *names: str) -> None:
     """Store each named size of a frozen dataclass as a Python int, so a numpy
     integer works as one; anything that is not an integer is a ValidationError."""
@@ -146,6 +158,7 @@ class Partition:
     assignment: tuple[int, ...]  # assignment[i] = part index of element i
 
     def __post_init__(self):
+        _index_sizes(self, "ground_size", "num_parts")
         if self.num_parts < 1:
             raise ValidationError("num_parts must be >= 1")
         if len(self.assignment) != self.ground_size:

@@ -18,6 +18,7 @@ the oracles; experiments that want separations need delta < 1/4.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +70,11 @@ def random_equipartition(m: int, k1: int, rng) -> tuple[tuple[int, ...], ...]:
 
 
 def build_instance(k1: int, delta: float = DEFAULT_DELTA, seed: int = 0) -> HardnessInstance:
-    if not isinstance(k1, int) or k1 < 2:
+    try:
+        k1 = operator.index(k1)
+    except TypeError:
+        k1 = None
+    if k1 is None or k1 < 2:
         raise BadParametersError("k1 must be an integer >= 2")
     if not (math.isfinite(delta) and delta > 0):
         raise BadParametersError("delta must be positive and finite")

@@ -397,19 +397,18 @@ class NsSolution:
     value: float | Fraction  # the LP's value type: a Fraction from exact mode
 
 
-def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
-                        solution: LpSolution | np.ndarray) -> NsSolution:
-    """Split a compact assignment into float blocks and verify its feasibility
-    within EXTRACT_TOL.
+def extract_ns_solution(w: ChannelTable, k1: int, k2: int, solution: LpSolution) -> NsSolution:
+    """Split a compact solution's assignment into float blocks and verify its
+    feasibility within EXTRACT_TOL.
 
-    The value is the solution's own, so an exact solve keeps its Fraction;
-    a bare assignment vector gets its float value recomputed.
+    The value is the solution's own, whatever program it solved, so an
+    exact solve keeps its Fraction.
     """
     k1, k2 = _check_k(k1, k2)
     nx, n1, n2 = w.input_size, w.out1_size, w.out2_size
     shapes = [(nx,), (nx, n1, n2), (nx, n1), (nx, n2)]
     ends = np.cumsum([0, *map(math.prod, shapes)])
-    vec = np.asarray(getattr(solution, "assignment", solution), dtype=float)
+    vec = np.asarray(solution.assignment, dtype=float)
     if vec.shape != (ends[-1],):
         raise InvariantViolationError(
             f"assignment length {vec.shape} does not fit channel of shape "
@@ -433,10 +432,7 @@ def extract_ns_solution(w: ChannelTable, k1: int, k2: int,
     demand(bool(np.all(np.abs(r2.sum(axis=0) - k1) <= tol)), "sum_x r2 = k1")
     demand(bool(abs(p.sum() - k1 * k2) <= tol), "sum_x p = k1 k2")
 
-    value = getattr(solution, "value", None)
-    if value is None:
-        value = float((w.probs * r).sum() / (k1 * k2))
-    return NsSolution(p, r, r1, r2, value)
+    return NsSolution(p, r, r1, r2, solution.value)
 
 
 def reconstruct_full_box(ns: NsSolution, k1: int, k2: int) -> np.ndarray:

@@ -11,15 +11,19 @@ objective given as Fractions used as it is) with zero tolerances.  Both
 update only the columns where the pivot row is nonzero.  Phase 1, Bland's
 rule and the ratio test are shared.
 
-Phase 1 depends only on the constraints (rows, relations, right-hand side)
-and the numeric mode, never on the objective.  lp_solve keeps the state
-phase 1 ends in (the feasible tableau, its basis and its pivot count) for
-the last constraints it saw, and a following model with the same
-constraints, compared by value, starts phase 2 from a copy of it.  Phase 1
-is deterministic, so values, vertices and pivot counts (which still count
-the whole path from the slack basis) are those of a solve from scratch.
-Families of programs that differ only in their objective, such as the
-decoder-box LPs of all encoders, thus pay for one phase 1.
+Phase 1 and the exact checks depend only on the constraints (rows,
+relations, right-hand side), never on the objective.  The simplex keeps one
+record of the last constraint set it saw, compared by value: for each
+numeric mode the state phase 1 ends in (the feasible tableau, its basis and
+its pivot count), from a copy of which the next model with these
+constraints starts phase 2, and the rows and right-hand side in Fractions,
+converted by the first exact check (certify, or constraint_violation on
+Fractions).  Phase 1 is deterministic, so values, vertices and pivot counts
+(which still count the whole path from the slack basis) are those of a
+solve from scratch.  Families of programs that differ only in their
+objective, such as the decoder-box LPs of all encoders, thus pay for one
+phase 1 per mode and one conversion.  Other constraints drop the record
+before anything is built for them.
 
 Bland's rule (lowest eligible index enters, ratio ties resolved by lowest
 basis index) guarantees termination without cycling.
@@ -28,16 +32,12 @@ An exact optimum is best had from a float solve: certify rounds its vertex
 and the duals of its final basis to small fractions and proves them optimal
 in exact arithmetic, and solve_exact falls back to the Fraction simplex,
 lp_solve(exact=True), only when that proof fails.  The Fraction simplex is
-capped at EXACT_VAR_CAP variables; the certificate is not.  The exact checks
-(certify, and constraint_violation on Fractions) convert the rows and
-right-hand side of the last constraints they saw once, and reuse them while
-the constraints match by value, so a family of programs that differ only in
-their objective pays for one conversion.
+capped at EXACT_VAR_CAP variables; the certificate is not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -142,44 +142,6 @@ def constraint_violation(model: LpModel, x) -> float | Fraction:
     rel = np.asarray(model.relations)
     gaps = np.concatenate([gap[rel == LE], -gap[rel == GE], abs(gap[rel == EQ]), -x])
     return gaps.max(initial=worst)
-
-
-@dataclass(frozen=True, eq=False)
-class _FractionRows:
-    """A model's constraint nonzeros, row-major, and its right-hand side, in
-    Fractions converted exactly from their floats."""
-
-    row: np.ndarray
-    col: np.ndarray
-    value: np.ndarray
-    rhs: np.ndarray
-
-
-_last_fraction_rows: dict[tuple, _FractionRows] = {}
-"""The latest conversion, reused while the rows and rhs match by value, so
-that the exact checks of a family of programs that differ only in their
-objective convert the shared constraints once."""
-
-
-def _fraction_rows(model: LpModel) -> _FractionRows:
-    """The model's rows and rhs as Fractions, converted once per constraint set."""
-    key = (_content(model.rows), _content(model.rhs))
-    last = _last_fraction_rows.get(key)
-    if last is None:
-        _last_fraction_rows.clear()
-        i, j = np.nonzero(model.rows)
-        last = _last_fraction_rows[key] = _FractionRows(
-            i, j, _to_fraction(model.rows[i, j]), _to_fraction(model.rhs))
-    return last
-
-
-def _content(a: np.ndarray) -> tuple:
-    return a.dtype.str, a.shape, a.tobytes()
-
-
-def _constraint_key(model: LpModel, exact: bool) -> tuple:
-    """Everything phase 1 depends on: the mode and the constraints, by value."""
-    return exact, _content(model.rows), _content(model.rhs), tuple(model.relations)
 
 
 class _Tableau:
@@ -336,7 +298,6 @@ class _Phase1:
     driven.
     """
 
-    key: tuple
     tableau: np.ndarray
     basis: np.ndarray
     pivots: int
@@ -345,14 +306,52 @@ class _Phase1:
     redundant: np.ndarray
 
 
-_last_phase1: dict[bool, _Phase1] = {}
-"""The latest phase 1 of each mode (exact or not); lp_solve starts phase 2
-from it when the key matches, so float solves and their exact fallbacks
-alternating on one family of programs each run phase 1 once."""
+@dataclass(eq=False)
+class _Constraints:
+    """What the solves and exact checks of one constraint set share.
+
+    key is the constraints by value: dtype, shape and bytes of the rows and
+    of the rhs, and the relations.  phase1 holds where phase 1 ends, one
+    entry per mode (exact or not).  row, col and value are the nonzeros of
+    the rows, row-major, and rhs the right-hand side, in Fractions converted
+    exactly from their floats; the first exact check fills them in.
+    """
+
+    key: tuple
+    phase1: dict[bool, _Phase1] = field(default_factory=dict)
+    row: np.ndarray | None = None
+    col: np.ndarray | None = None
+    value: np.ndarray | None = None
+    rhs: np.ndarray | None = None
 
 
-def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
-            max_pivots: int) -> _Phase1:
+_last_constraints: _Constraints | None = None
+"""The record of the last constraint set seen, the simplex's only cache."""
+
+
+def _constraints(model: LpModel) -> _Constraints:
+    """The record of the model's constraints.  Constraints other than the
+    last record's replace it with an empty record, so the old set's
+    tableaux and Fractions are freed before anything is built for the new."""
+    global _last_constraints
+    key = (*((a.dtype.str, a.shape, a.tobytes()) for a in (model.rows, model.rhs)),
+           tuple(model.relations))
+    if _last_constraints is None or _last_constraints.key != key:
+        _last_constraints = _Constraints(key)
+    return _last_constraints
+
+
+def _fraction_rows(model: LpModel) -> _Constraints:
+    """The record of the model's constraints, with its rows and rhs in Fractions."""
+    record = _constraints(model)
+    if record.rhs is None:
+        i, j = np.nonzero(model.rows)
+        record.row, record.col, record.value, record.rhs = (
+            i, j, _to_fraction(model.rows[i, j]), _to_fraction(model.rhs))
+    return record
+
+
+def _phase1(model: LpModel, tableau_cls: type[_Tableau], max_pivots: int) -> _Phase1:
     """Build the tableau from the slack basis, run phase 1, drive out artificials."""
     zero, one = tableau_cls.zero, tableau_cls.one
     n, m = model.num_vars, model.num_rows
@@ -404,7 +403,7 @@ def _phase1(model: LpModel, tableau_cls: type[_Tableau], key: tuple,
     T = np.asarray(T[np.ix_(kept, np.r_[:art_start, ncols])], order=tableau_cls.order)
     basis = basis[kept]
     T.flags.writeable = basis.flags.writeable = False
-    return _Phase1(key, T, basis, tab.pivots, driven,
+    return _Phase1(T, basis, tab.pivots, driven,
                    np.r_[:n, n + slack_rows], redundant)
 
 
@@ -418,11 +417,10 @@ def lp_solve(model: LpModel, exact: bool = False,
     if exact:
         _check_cap(SizeCapExceededError, EXACT_VAR_CAP, (model.num_vars, 1))
     tableau_cls = _ExactTableau if exact else _Tableau
-    key = _constraint_key(model, exact)
-    start = _last_phase1.get(exact)
-    if start is None or start.key != key:
-        _last_phase1.pop(exact, None)   # so the old tableau is freed before the new one is built
-        start = _last_phase1[exact] = _phase1(model, tableau_cls, key, max_pivots)
+    phase1 = _constraints(model).phase1
+    start = phase1.get(exact)
+    if start is None:
+        start = phase1[exact] = _phase1(model, tableau_cls, max_pivots)
     elif start.pivots > max_pivots:
         raise IterationLimitError(max_pivots + 1)
 

@@ -13,6 +13,7 @@ from bcc import (
     Partition,
     SideMismatchError,
     approximate_dqg,
+    build_instance,
     channel_graph,
     code_from_partitions,
     degree_upper_bound,
@@ -368,3 +369,27 @@ def test_parameter_validation():
         derandomize_left(g, 0, singleton_partition(2, 2))
     with pytest.raises(SideMismatchError):
         exact_expected_edges(g, 2, singleton_partition(3, 3))
+
+
+def test_numpy_integer_counts_give_python_results():
+    # Each call takes a count; given as a numpy integer it must act as the
+    # Python int, and every count in the result must be a Python int.
+    g = channel_graph(random_deterministic_channel(6, 3, 3, seed=0))
+    p2 = greedy_welfare(g, 2, 2)
+
+    def partition(p):
+        return [p.ground_size, p.num_parts, *p.assignment]
+
+    table = [
+        (lambda k: derandomize_left(g, k, p2), partition),
+        (lambda k: random_left_partition(g, k, 0), partition),
+        (lambda k: Partition(3, k, (0, 1, 1)), partition),
+        (lambda k: singleton_partition(2, k), partition),
+        (lambda k: degree_upper_bound(g, k, k), lambda bound: [bound]),
+        (lambda k: left_degree_bound(g, k, k), lambda bound: [bound]),
+        (lambda k: build_instance(k + 1), lambda inst: [inst.k1, inst.m, *sum(inst.blocks, ())]),
+    ]
+    for call, counts in table:
+        want, got = counts(call(2)), counts(call(np.int64(2)))
+        assert got == want
+        assert all(type(count) is int for count in got + want)

@@ -8,8 +8,11 @@ getting the basis, the duals, the vertex or the objective wrong must make
 the certificate fail rather than prove a wrong value.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ import bcc.exact
 import bcc.nsprograms
 import bcc.simplex
 from bcc import (
+    LE,
     IterationLimitError,
+    LpModel,
     SizeCapExceededError,
     build_decoder_box_lp,
     build_ns_joint,
@@ -97,7 +102,7 @@ def full_basis(model):
             super().__init__(T, basis, pivots, max_pivots)
             seen.append(basis)
 
-    phase1 = bcc.simplex._phase1(model, Recording, None, 10**6)
+    phase1 = bcc.simplex._phase1(model, Recording, 10**6)
     return phase1, seen[0]
 
 
@@ -286,3 +291,41 @@ def test_shared_constraints_are_converted_to_fractions_once():
     other = replace(first, rhs=first.rhs * 2)
     assert bcc.simplex._fraction_rows(other) is not rows
     assert list(bcc.simplex._fraction_rows(other).rhs) == list(_to_fraction(other.rhs))
+
+
+def test_a_box_family_keeps_one_record_of_its_constraints():
+    # Every encoder's decoder-box LP shares one record: the float phase 1
+    # every solve starts from, and the Fractions every certificate reads.
+    w = random_dyadic_channel(3, 2, 2, seed=0)
+    models = [exact_box(w, np.reshape(enc, (2, 2))) for enc in product(range(3), repeat=4)]
+    for model in models:
+        solve_exact(model)
+    records = [obj for obj in gc.get_objects() if isinstance(obj, bcc.simplex._Constraints)]
+    assert records == [bcc.simplex._last_constraints]
+    record = records[0]
+    assert list(record.phase1) == [False]   # every certificate holds: no Fraction simplex
+    assert all(bcc.simplex._fraction_rows(model) is record for model in models)
+
+
+def test_other_constraints_release_the_last_tableaux_and_fractions(monkeypatch):
+    # An exact solve and a certificate leave a box LP's phase 1 of both modes
+    # and its Fractions behind; a float solve of other constraints frees them.
+    built = []
+    real_phase1 = bcc.simplex._phase1
+
+    def kept(*args):
+        built.append(real_phase1(*args))
+        return built[-1]
+
+    other = LpModel(1, [1.0], [[1.0]], (LE,), [1.0])
+    lp_solve(other)   # so that the box LP's phase 1 is built here
+    monkeypatch.setattr(bcc.simplex, "_phase1", kept)
+    model = exact_box(random_dyadic_channel(3, 2, 2, seed=0), [[0, 1], [2, 0]])
+    assert lp_solve(model, exact=True).value == certified(model).value
+    frac = bcc.simplex._fraction_rows(model)
+    arrays = [*(phase1.tableau for phase1 in built), frac.value, frac.rhs]
+    assert len(arrays) == 4
+    released = [weakref.ref(a) for a in arrays]
+    del built[:], frac, arrays
+    lp_solve(other)
+    assert all(ref() is None for ref in released)

@@ -289,7 +289,7 @@ def test_phase_one_never_reused_across_modes_or_edits():
 def test_shared_phase_one_respects_the_pivot_limit():
     model = build_decoder_box_lp(random_channel(3, 3, 3, seed=6), [[0, 1], [2, 0]], 2, 2)
     full = lp_solve(model)
-    taken = full.pivots + bcc.simplex._last_phase1[False].driven
+    taken = full.pivots + bcc.simplex._constraints(model).phase1[False].driven
     assert taken > full.pivots
 
     def outcome(solve, limit):

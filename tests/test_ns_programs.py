@@ -16,6 +16,7 @@ from bcc import (
     LE,
     BadParametersError,
     InvariantViolationError,
+    LpSolution,
     SizeCapExceededError,
     ValidationError,
     build_decoder_box_lp,
@@ -51,7 +52,9 @@ def one_input_channel():
 
 
 def vec_from_blocks(p, r, r1, r2):
-    return np.concatenate([np.ravel(p), np.ravel(r), np.ravel(r1), np.ravel(r2)])
+    """A solution whose assignment is the blocks; its value is not checked."""
+    vec = np.concatenate([np.ravel(p), np.ravel(r), np.ravel(r1), np.ravel(r2)])
+    return LpSolution("optimal", 0.0, vec, 0)
 
 
 def baseline_blocks():
@@ -148,10 +151,23 @@ def test_extracted_value_matches_blocks():
     assert ns2.value == pytest.approx(float(recomputed))
 
 
+def test_extract_keeps_the_value_of_the_program_solved():
+    # The sum program's value is not the joint objective at its vertex.
+    w = random_channel(3, 3, 3, seed=0)
+    for build in (build_ns_joint, build_ns_sum):
+        sol = lp_solve(build(w, 2, 2))
+        ns = extract_ns_solution(w, 2, 2, sol)
+        assert ns.value == sol.value
+        assert np.array_equal(np.concatenate([ns.p, ns.r.ravel(), ns.r1.ravel(), ns.r2.ravel()]),
+                              sol.assignment)
+    assert ns.value == pytest.approx(0.634222, abs=1e-6)
+    assert float((w.probs * ns.r).sum() / 4) == pytest.approx(0.403642, abs=1e-6)
+
+
 def test_extract_requires_matching_length():
     w = random_channel(2, 2, 2, seed=0)
     with pytest.raises(InvariantViolationError, match="does not fit"):
-        extract_ns_solution(w, 2, 2, np.zeros(5))
+        extract_ns_solution(w, 2, 2, LpSolution("optimal", 0.0, np.zeros(5), 0))
 
 
 def test_extract_flags_each_invariant():
