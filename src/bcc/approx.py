@@ -19,13 +19,12 @@ right part's left degree and each left vertex's right parts.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParametersError, InvariantViolationError, SideMismatchError
-from .graphs import (DEFAULT_NUM_SAMPLES, BipartiteGraph, Partition, _check_count, _check_k,
+from .errors import InvariantViolationError, SideMismatchError
+from .graphs import (DEFAULT_NUM_SAMPLES, BipartiteGraph, Partition, _as_int, _check_k,
                      distinct_values, quotient_edge_count, singleton_partition)
 
 # Vertices with at most this many parts times labels are scored by label
@@ -63,20 +62,20 @@ def _part_incidences(g: BipartiteGraph, p2: Partition) -> tuple[np.ndarray, np.n
 
 def left_degree_bound(g: BipartiteGraph, k1: int, k2: int) -> int:
     """min(k1 k2, sum over left vertices of min(k2, degree))."""
-    k1, k2 = operator.index(k1), operator.index(k2)
+    k1, k2 = _check_k(k1, k2)
     return min(k1 * k2, int(np.minimum(np.bincount(g.edge_arrays[0]), k2).sum()))
 
 
 def degree_upper_bound(g: BipartiteGraph, k1: int, k2: int) -> int:
     """Two-sided degree cap bounding the optimal quotient edge count."""
-    k1, k2 = operator.index(k1), operator.index(k2)
+    k1, k2 = _check_k(k1, k2)
     right = min(k1 * k2, int(np.minimum(np.bincount(g.edge_arrays[1]), k1).sum()))
     return min(left_degree_bound(g, k1, k2), right)
 
 
 def random_left_partition(g: BipartiteGraph, num_parts: int, rng) -> Partition:
     """Assign each left vertex independently and uniformly to a part."""
-    num_parts = _check_count(num_parts, "num_parts")
+    num_parts = _as_int(num_parts, "num_parts")
     rng = np.random.default_rng(rng)
     assignment = rng.integers(0, num_parts, size=g.left_size)
     return Partition(g.left_size, num_parts, tuple(assignment.tolist()))
@@ -88,7 +87,7 @@ def exact_expected_edges(g: BipartiteGraph, l1: int, p2: Partition) -> float:
     Each right part with d distinct left neighbors hits a given left part
     with probability 1 - (1 - 1/l1)^d, and expectation is linear over parts.
     """
-    l1 = _check_count(l1, "l1")
+    l1 = _as_int(l1, "l1")
     miss = 1.0 - 1.0 / l1
     _, parts = _part_incidences(g, p2)
     degrees = np.bincount(parts, minlength=p2.num_parts).tolist()
@@ -116,7 +115,7 @@ def derandomize_left(g: BipartiteGraph, l1: int, p2: Partition) -> Partition:
     in the same order as a loop over its parts, so both routes pick the
     label that loop picks.
     """
-    l1 = _check_count(l1, "l1")
+    l1 = _as_int(l1, "l1")
     left, parts = _part_incidences(g, p2)
     miss = 1.0 - 1.0 / l1
     # others[i] = n_i - 1 when u is placed; rest[j] = 1 - miss^j in Python floats
@@ -249,8 +248,7 @@ def approximate_dqg(g: BipartiteGraph, k1: int, k2: int, seed: int = 0,
     heuristic value itself.
     """
     k1, k2 = _check_k(k1, k2)
-    if num_samples < 0 or seed < 0:
-        raise BadParametersError("num_samples and seed must be >= 0")
+    seed, num_samples = _as_int(seed, "seed", 0), _as_int(num_samples, "num_samples", 0)
 
     if k2 >= g.right_size:
         p2 = singleton_partition(g.right_size, k2)

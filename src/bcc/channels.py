@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import BipartiteGraph, _check_cap, _index_sizes, distinct_values
+from .graphs import BipartiteGraph, _as_int, _check_cap, _index_sizes, distinct_values
 
 NORMALIZATION_TOL = 1e-9
 POINT_MASS_TOL = 1e-12
@@ -155,8 +155,7 @@ def tensor_power(w: ChannelTable, n: int, cap: int = DEFAULT_ENTRY_CAP) -> Chann
     Composite indices are row-major over the factors with position 0 most
     significant, so input (x_0, ..., x_{n-1}) becomes sum x_i |X|^(n-1-i).
     """
-    if n < 1:
-        raise ValidationError("tensor power needs n >= 1")
+    n = _as_int(n, "n", error=ValidationError)
     _check_cap(SizeCapExceededError, cap, (w.input_size * w.out1_size * w.out2_size, n))
     result = w.probs
     for _ in range(n - 1):

@@ -6,7 +6,7 @@ input's cell values: entry [x, s1, s2] is what input x earns in a message
 cell whose decoders map exactly the output subsets s1 and s2 to it.  They
 are products with m1 and m2, the 0/1 matrices _members(|Y1|), _members(|Y2|)
 whose row s marks the outputs in subset s: m1 @ W(., .|x) @ m2.T for joint
-success, the average of W1 @ m1.T and W2 @ m2.T for sum success, and
+success, the sum W1 @ m1.T + W2 @ m2.T for sum success, and
 (m1 @ adj @ m2.T) > 0 for the densest quotient.  The kernel keeps one table,
 the running maximum over inputs, 8 bytes per subset pair: it computes the
 values a block of rows at a time, for all inputs at once, and reduces each
@@ -243,21 +243,20 @@ def _block_shape(inputs: int, n1: int, n2: int) -> tuple[int, int]:
     return rows, max(1, min(inputs, budget // (rows * row_cells)))
 
 
-def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: int,
-                        cell_values, scale: float = 1.0):
+def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: int, cell_values):
     """Best decoder pair given every input's cell values, as the module docstring defines.
 
     cell_values is called only after both caps pass, so nothing of size
     2^|Y| exists before them.  It returns values(rows, xs), the cell values
     of inputs xs on first-side subsets rows, shape (inputs, rows, 2^n2).  The
-    table, scale times the maximum over inputs, is built in blocks
-    (_block_shape): besides it the build holds about _TABLE_BLOCK_CELLS
-    values, the pair scan (_best_pair) about twice _PAIR_BLOCK_CELLS, and
-    neither an input per cell.  The best pair's k1 k2 cells are then
-    computed again by values, on the blocks that built them, and each takes
-    the smallest input whose value, times scale, equals its entry.  Returns
-    the best total, the two decoder assignments (restricted-growth strings),
-    the encoder and the number of labelled candidates, k1^n1 * k2^n2.
+    table, the maximum over inputs, is built in blocks (_block_shape):
+    besides it the build holds about _TABLE_BLOCK_CELLS values, the pair
+    scan (_best_pair) about twice _PAIR_BLOCK_CELLS, and neither an input
+    per cell.  The best pair's k1 k2 cells are then computed again by
+    values, on the blocks that built them, and each takes the smallest
+    input whose value equals its entry.  Returns the best total, the two
+    decoder assignments (restricted-growth strings), the encoder and the
+    number of labelled candidates, k1^n1 * k2^n2.
     """
     candidates = _check_cap(EnumerationCapExceededError, cap, (k1, n1), (k2, n2))
     _check_cap(SizeCapExceededError, DEFAULT_ENTRY_CAP, (2, n1 + n2))
@@ -273,8 +272,6 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
                 block.max(axis=0, out=out)
             else:
                 np.maximum(out, block.max(axis=0), out=out)
-    if scale != 1.0:
-        table *= scale  # rounding is monotone: this is the maximum of the scaled values
 
     (assign1, masks1), (assign2, masks2) = _decoders(n1, k1), _decoders(n2, k2)
     best_val, a, b = _best_pair(table, masks1, masks2)
@@ -290,17 +287,19 @@ def _enumerate_decoders(n1: int, n2: int, k1: int, k2: int, cap: int, inputs: in
             block = values(slice(top, top + rows), slice(x, x + width))
             cells[x:x + width, at] = block[:, s1[at, None] - top, s2]
     # argmax takes the first True: the smallest input that reaches the maximum
-    encoder = (scale * cells == table[s1[:, None], s2]).argmax(axis=0)
+    encoder = (cells == table[s1[:, None], s2]).argmax(axis=0)
     return (best_val, tuple(assign1[a].tolist()), tuple(assign2[b].tolist()),
             tuple(map(tuple, encoder.tolist())), candidates)
 
 
 def _solve_code(w: ChannelTable, k1: int, k2: int, cap: int, cell_values,
-                scale: float = 1.0) -> SolveReport:
+                receivers: int = 1) -> SolveReport:
+    """The best code; its value is the best total over receivers k1 k2 cells."""
     k1, k2 = _check_k(k1, k2)
     best_val, dec1, dec2, encoder, candidates = _enumerate_decoders(
-        w.out1_size, w.out2_size, k1, k2, cap, w.input_size, cell_values, scale)
-    return SolveReport(best_val / (k1 * k2), Code(k1, k2, encoder, dec1, dec2), candidates)
+        w.out1_size, w.out2_size, k1, k2, cap, w.input_size, cell_values)
+    return SolveReport(best_val / (receivers * k1 * k2), Code(k1, k2, encoder, dec1, dec2),
+                       candidates)
 
 
 def _joint_cell_values(w: ChannelTable):
@@ -326,7 +325,7 @@ def _sum_cell_values(w: ChannelTable):
 
 def solve_sum(w: ChannelTable, k1: int, k2: int, cap: int = DEFAULT_ENUM_CAP) -> SolveReport:
     """Best deterministic code for sum success, by decoder enumeration."""
-    return _solve_code(w, k1, k2, cap, lambda: _sum_cell_values(w), scale=0.5)
+    return _solve_code(w, k1, k2, cap, lambda: _sum_cell_values(w), receivers=2)
 
 
 def _quotient_cell_values(g: BipartiteGraph):

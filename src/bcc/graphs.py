@@ -7,6 +7,11 @@ vertices.  A graph is stored only as its edge list, two integer arrays (U, V)
 sorted by (left, right) end; degrees, neighbourhoods and quotient counts are
 numpy reductions over them: bincounts, sorted distinct values, or a scatter
 into a boolean table over the k1 k2 part pairs.
+
+Every integer the package takes, a count, size, seed, cap or label, goes
+through _as_int or _as_ints here: a Python or numpy integer is kept as a
+Python int, anything else raises BadParametersError for an argument or
+ValidationError for a record field.
 """
 
 from __future__ import annotations
@@ -34,15 +39,46 @@ DEFAULT_NUM_SAMPLES = 0
 DEFAULT_DELTA = 0.25
 
 
+def _as_int(value, name: str, low: int = 1, error=BadParametersError) -> int:
+    """value as a Python int, so a numpy integer works as one; a value that is
+    not an integer, or is below low, raises error."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} takes integers only, got {type(value).__name__}") from None
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _as_ints(values, name: str, error=BadParametersError) -> tuple[int, ...]:
+    """Each of values as a Python int, in one pass; error if one is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"{name} take integers only") from None
+
+
+def _index_sizes(obj, *names: str, low: int = 0) -> None:
+    """Store each named size of a frozen dataclass as a Python int of at least low."""
+    for name in names:
+        object.__setattr__(obj, name, _as_int(getattr(obj, name), name, low, ValidationError))
+
+
+def _check_k(k1, k2) -> tuple[int, int]:
+    """The message counts as Python ints of at least one."""
+    return _as_int(k1, "k1"), _as_int(k2, "k2")
+
+
 def _check_cap(error, cap: int, *powers) -> int:
     """Return prod(base**exponent for base, exponent in powers), or raise
-    error(count, cap) above the cap; a negative cap is BadParametersError.
+    error(count, cap) above the cap; a cap that is not an integer >= 0 is
+    BadParametersError.
 
     The count is bounded by its bit length before it is built.  One of 2^15
     bits or more (Python prints an int of at most 4300 digits), or one too
     long to print, is written as its powers, such as 3**10000."""
-    if cap < 0:
-        raise BadParametersError(f"cap must be >= 0, got {cap}")
+    cap = _as_int(cap, "cap", 0)
     powers = [(int(b), int(e)) for b, e in powers]
     low_bits = sum(e * (b.bit_length() - 1) for b, e in powers)  # count >= 2**low_bits
     if low_bits < max(1 << 15, cap.bit_length()):
@@ -52,40 +88,6 @@ def _check_cap(error, cap: int, *powers) -> int:
         with contextlib.suppress(ValueError):  # raised when the message cannot print count
             raise error(count, cap)
     raise error(" * ".join(f"{b}**{e}" for b, e in powers), cap)
-
-
-def _check_k(k1: int, k2: int) -> tuple[int, int]:
-    """The message counts as Python ints, so a numpy integer works as one;
-    a count that is not an integer, or below one, is BadParametersError."""
-    try:
-        k1, k2 = operator.index(k1), operator.index(k2)
-    except TypeError:
-        raise BadParametersError("message counts must be integers") from None
-    if k1 < 1 or k2 < 1:
-        raise BadParametersError("message counts must be >= 1")
-    return k1, k2
-
-
-def _check_count(n, name: str) -> int:
-    """The count n as a Python int, so a numpy integer works as one; a count
-    that is not an integer, or below one, is BadParametersError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise BadParametersError(f"{name} must be an integer") from None
-    if n < 1:
-        raise BadParametersError(f"{name} must be >= 1")
-    return n
-
-
-def _index_sizes(obj, *names: str) -> None:
-    """Store each named size of a frozen dataclass as a Python int, so a numpy
-    integer works as one; anything that is not an integer is a ValidationError."""
-    for name in names:
-        try:
-            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
-        except TypeError:
-            raise ValidationError(f"{name} must be an integer") from None
 
 
 def distinct_values(a: np.ndarray) -> np.ndarray:
@@ -113,8 +115,6 @@ class BipartiteGraph:
 
     def __post_init__(self):
         _index_sizes(self, "left_size", "right_size")
-        if self.left_size < 0 or self.right_size < 0:
-            raise ValidationError("vertex counts must be nonnegative")
         U, V = (np.array(a, dtype=np.intp) for a in self.edge_arrays)
         if U.ndim != 1 or U.shape != V.shape:
             raise ValidationError("edge arrays must be 1-d and of equal length")
@@ -158,9 +158,10 @@ class Partition:
     assignment: tuple[int, ...]  # assignment[i] = part index of element i
 
     def __post_init__(self):
-        _index_sizes(self, "ground_size", "num_parts")
-        if self.num_parts < 1:
-            raise ValidationError("num_parts must be >= 1")
+        _index_sizes(self, "ground_size")
+        _index_sizes(self, "num_parts", low=1)
+        object.__setattr__(self, "assignment",
+                           _as_ints(self.assignment, "part labels", ValidationError))
         if len(self.assignment) != self.ground_size:
             raise ValidationError("assignment length must equal ground_size")
         if self.assignment and (min(self.assignment) < 0
@@ -200,7 +201,7 @@ def quotient_edge_count(g: BipartiteGraph, p1: Partition, p2: Partition) -> int:
 
 def distinct_left_neighbors(g: BipartiteGraph, right_subset) -> int:
     """Count left vertices adjacent to the given set of right vertices."""
-    subset = np.fromiter(right_subset, dtype=np.intp)
+    subset = np.array(_as_ints(right_subset, "right vertices", ValidationError), dtype=np.intp)
     bad = (subset < 0) | (subset >= g.right_size)
     if bad.any():
         raise ValidationError(f"right vertex {subset[np.argmax(bad)]} out of range")
@@ -215,6 +216,8 @@ def enumerate_partitions(ground_size: int, num_parts: int, cap: int = DEFAULT_EN
     labeled parts, in lexicographic order of the assignment tuple.  Refused at
     the call when num_parts ** ground_size exceeds the cap.
     """
+    ground_size = _as_int(ground_size, "ground_size", 0)
+    num_parts = _as_int(num_parts, "num_parts")
     _check_cap(EnumerationCapExceededError, cap, (num_parts, ground_size))
     return (Partition(ground_size, num_parts, assignment)
             for assignment in itertools.product(range(num_parts), repeat=ground_size))

@@ -18,7 +18,6 @@ the oracles; experiments that want separations need delta < 1/4.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +25,8 @@ import numpy as np
 
 from .channels import DEFAULT_ENTRY_CAP, ChannelTable, validate_channel
 from .errors import BadParametersError, SizeCapExceededError
-from .graphs import DEFAULT_DELTA, DEFAULT_ENUM_CAP, _check_cap, enumerate_partitions
+from .graphs import (DEFAULT_DELTA, DEFAULT_ENUM_CAP, _as_int, _as_ints, _check_cap,
+                     enumerate_partitions)
 
 PLANTED, FLAT = "planted", "flat"
 _VARIANTS = (PLANTED, FLAT)
@@ -61,6 +61,7 @@ class HardnessInstance:
 
 def random_equipartition(m: int, k1: int, rng) -> tuple[tuple[int, ...], ...]:
     """Uniform partition of range(m) into k1 ordered blocks of size m // k1."""
+    m, k1 = _as_int(m, "m", 0), _as_int(k1, "k1")
     if m % k1:
         raise BadParametersError("block size must divide the ground set")
     order = np.random.default_rng(rng).permutation(m)
@@ -70,16 +71,9 @@ def random_equipartition(m: int, k1: int, rng) -> tuple[tuple[int, ...], ...]:
 
 
 def build_instance(k1: int, delta: float = DEFAULT_DELTA, seed: int = 0) -> HardnessInstance:
-    try:
-        k1 = operator.index(k1)
-    except TypeError:
-        k1 = None
-    if k1 is None or k1 < 2:
-        raise BadParametersError("k1 must be an integer >= 2")
+    k1, seed = _as_int(k1, "k1", 2), _as_int(seed, "seed", 0)
     if not (math.isfinite(delta) and delta > 0):
         raise BadParametersError("delta must be positive and finite")
-    if seed < 0:
-        raise BadParametersError("seed must be >= 0")
     m = k1 * k1
     try:  # the largest powers of m the instance uses; m^(2 delta) is below them
         _ = m ** (3.0 * delta), m ** (1.0 + 2.0 * delta)
@@ -98,7 +92,7 @@ def value_oracle(inst: HardnessInstance, which: str, subset) -> float:
     """Normalized single-receiver value of a bundle, in O(|S| + k1) time."""
     _check_variant(which)
     m, d = inst.m, inst.delta
-    items = set(subset)
+    items = set(_as_ints(subset, "items"))
     if not items:
         return 0.0
     counts = [0] * inst.k1
@@ -191,8 +185,7 @@ def run_query_experiment(inst: HardnessInstance, strategy, budget: int) -> Query
     compares against the flat oracle and records the first index where the
     two disagree.
     """
-    if budget < 0:
-        raise BadParametersError("budget must be nonnegative")
+    budget = _as_int(budget, "budget", 0)
     log = QueryLog([], None)
     for step in range(budget):
         subset = frozenset(strategy.next_query(log.queries))
@@ -208,7 +201,7 @@ class SingletonSweep:
     """Queries {0}, {1}, ..., cycling; never separates the oracles."""
 
     def __init__(self, m: int):
-        self.m = m
+        self.m = _as_int(m, "m")
 
     def next_query(self, history) -> frozenset:
         return frozenset({len(history) % self.m})
@@ -218,9 +211,9 @@ class RandomSubsets:
     """Independent uniform subsets of a fixed size, from an own seed."""
 
     def __init__(self, m: int, size: int, seed: int = 0):
-        if not (0 < size <= m):
+        self.m, self.size = _as_int(m, "m"), _as_int(size, "size")
+        if self.size > self.m:
             raise BadParametersError("size must lie in [1, m]")
-        self.m, self.size = m, size
         self.rng = np.random.default_rng(seed)
 
     def next_query(self, history) -> frozenset:
@@ -234,9 +227,9 @@ class AdaptiveBisection:
     descent bottoms out."""
 
     def __init__(self, m: int, seed: int = 0):
-        self.m = m
+        self.m = _as_int(m, "m")
         self.rng = np.random.default_rng(seed)
-        self.stack = [tuple(range(m))]
+        self.stack = [tuple(range(self.m))]
         self.current = None  # (half_a, half_b) with half_a already queried
         self.value_a = None
 
@@ -267,8 +260,7 @@ def chernoff_bound(p: float, n: int, eps: float) -> float:
     means exceeding (1 + eps) p, valid for 0 < eps <= 1/2."""
     if not (0 < p <= 1):
         raise BadParametersError("p must lie in (0, 1]")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise BadParametersError("n must be a positive integer")
+    n = _as_int(n, "n")
     if not (0 < eps <= 0.5):
         raise BadParametersError("eps must lie in (0, 1/2]")
     return math.exp(-p * n * eps * eps / 4.0)
@@ -279,8 +271,7 @@ def poisson_concavity_ratio(k1: int) -> float:
 
     Computed through log-gamma so large k1 does not overflow.
     """
-    if not (isinstance(k1, (int, np.integer)) and k1 >= 1):
-        raise BadParametersError("k1 must be a positive integer")
+    k1 = _as_int(k1, "k1")
     return 1.0 - math.exp(k1 * math.log(k1) - k1 - math.lgamma(k1 + 1))
 
 
@@ -290,6 +281,7 @@ def expected_min_poisson(k: int, x: float) -> float:
     Sums min(k, j) P(N = j) upward and stops when the remaining mass, which
     contributes at most k per unit, is below 1e-12 / k.
     """
+    k = _as_int(k, "k", 0)
     if x < 0:
         raise BadParametersError("x must be nonnegative")
     if x == 0:

@@ -59,7 +59,7 @@ from .errors import (
     SizeCapExceededError,
     ValidationError,
 )
-from .graphs import _check_cap, _check_k
+from .graphs import _as_int, _check_cap, _check_k
 from .simplex import EQ, GE, LE, LpModel, LpSolution, _to_fraction, lp_solve, solve_exact
 
 DEFAULT_FULL_VAR_CAP = 20_000
@@ -174,8 +174,7 @@ def _build_compact(w: ChannelTable, k1: int, k2: int, objective: str, n: int = 1
     per joint type; the module docstring gives its rows.  The types are
     listed only once _assemble has checked the entry cap on their counts."""
     k1, k2 = _check_k(k1, k2)
-    if n < 1:
-        raise ValidationError("tensor power needs n >= 1")
+    n = _as_int(n, "n", error=ValidationError)
     sizes = {"x": w.input_size, "a": w.out1_size, "b": w.out2_size}
 
     def size(letters):

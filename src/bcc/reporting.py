@@ -110,10 +110,6 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple, set, frozenset, np.ndarray)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [jsonify(v) for v in items]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj

@@ -53,7 +53,7 @@ from .errors import (
     UnboundedError,
     ValidationError,
 )
-from .graphs import _check_cap
+from .graphs import _as_int, _check_cap
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -414,6 +414,7 @@ def lp_solve(model: LpModel, exact: bool = False,
     Phase 1 is skipped when the previous call in the same mode ran it on the
     same constraints; the result and its pivot count are those of a full solve.
     """
+    max_pivots = _as_int(max_pivots, "max_pivots", 0)
     if exact:
         _check_cap(SizeCapExceededError, EXACT_VAR_CAP, (model.num_vars, 1))
     tableau_cls = _ExactTableau if exact else _Tableau

@@ -11,7 +11,10 @@ from bcc import (
     BadParametersError,
     DeterministicChannel,
     Partition,
+    RandomSubsets,
     SideMismatchError,
+    SingletonSweep,
+    ValidationError,
     approximate_dqg,
     build_instance,
     channel_graph,
@@ -26,8 +29,11 @@ from bcc import (
     make_graph,
     quotient_edge_count,
     random_bipartite_graph,
+    random_channel,
     random_deterministic_channel,
+    random_dyadic_channel,
     random_left_partition,
+    run_query_experiment,
     singleton_partition,
     tensor_power,
     to_deterministic,
@@ -388,8 +394,31 @@ def test_numpy_integer_counts_give_python_results():
         (lambda k: degree_upper_bound(g, k, k), lambda bound: [bound]),
         (lambda k: left_degree_bound(g, k, k), lambda bound: [bound]),
         (lambda k: build_instance(k + 1), lambda inst: [inst.k1, inst.m, *sum(inst.blocks, ())]),
+        (lambda k: Partition(3, 2, (0, k - 1, k - 1)), partition),
+        (lambda k: build_instance(3, seed=k), lambda inst: [inst.seed, *sum(inst.blocks, ())]),
+        (lambda k: approximate_dqg(g, 2, 2, seed=k, num_samples=k),
+         lambda res: [res.rng_seed, res.samples_used, res.value, *partition(res.p1)]),
     ]
     for call, counts in table:
         want, got = counts(call(2)), counts(call(np.int64(2)))
         assert got == want
         assert all(type(count) is int for count in got + want)
+    # A float, or a value below the bound, is the site's error, never
+    # TypeError or AttributeError, and never a silent result.
+    inst = build_instance(3)
+    refused = [
+        (BadParametersError, lambda: degree_upper_bound(g, -1, 2)),
+        (BadParametersError, lambda: left_degree_bound(g, -2, -3)),
+        (BadParametersError, lambda: approximate_dqg(g, 2, 2, seed=1.5)),
+        (ValidationError, lambda: Partition(3, 2, (0, 1.0, 1))),
+        (ValidationError, lambda: distinct_left_neighbors(g, [1.7])),
+        (BadParametersError, lambda: run_query_experiment(inst, SingletonSweep(9), 2.0)),
+        (BadParametersError, lambda: RandomSubsets(9, 2.0)),
+        (BadParametersError, lambda: random_channel(2.0, 2, 2)),
+        (BadParametersError, lambda: random_deterministic_channel(2.0, 2, 2)),
+        (BadParametersError, lambda: random_dyadic_channel(2, 2, 2, denominator=64.0)),
+        (BadParametersError, lambda: random_bipartite_graph(2.0, 2, 0.5)),
+    ]
+    for error, call in refused:
+        with pytest.raises(error):
+            call()

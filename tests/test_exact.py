@@ -22,9 +22,11 @@ from bcc import (
     EnumerationCapExceededError,
     Partition,
     SizeCapExceededError,
+    ValidationError,
     approximate_dqg,
     build_instance,
     build_ns_full,
+    build_ns_sum,
     channel_graph,
     code_from_partitions,
     enumerate_partitions,
@@ -300,6 +302,18 @@ def test_numpy_integer_message_counts_give_python_results():
                 solve(w, k1, k2)
         with pytest.raises(BadParametersError, match="integers"):
             solve_dqg(g, k1, k2)
+    # A numpy cap acts as the Python int; a cap or a tensor power that is not
+    # an integer is the site's error, never TypeError or AttributeError.
+    cap = np.int64(10**7)
+    for solve in (solve_joint, solve_sum, solve_ns_dec):
+        assert solve(w, 2, 2, cap=cap) == solve(w, 2, 2)
+    assert solve_dqg(g, 2, 2, cap=cap) == solve_dqg(g, 2, 2)
+    with pytest.raises(BadParametersError):
+        enumerate_partitions(3, 2, cap=10.0)
+    with pytest.raises(ValidationError):
+        tensor_power(w, 2.0)
+    with pytest.raises(ValidationError):
+        build_ns_sum(w, 2, 2, n=2.0)
 
 
 def test_dqg_matches_bruteforce():
