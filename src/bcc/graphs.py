@@ -8,7 +8,8 @@ sorted by (left, right) end; degrees, neighbourhoods and quotient counts are
 numpy reductions over them: bincounts, sorted distinct values, or a scatter
 into a boolean table over the k1 k2 part pairs.
 
-Every integer the package takes, a count, size, seed, cap or label, goes
+Every integer argument of the package (a count, size, seed or cap), and
+every size and label of the graph, channel and partition records, goes
 through _as_int or _as_ints here: a Python or numpy integer is kept as a
 Python int, anything else raises BadParametersError for an argument or
 ValidationError for a record field.
